@@ -7,6 +7,8 @@
 
 #include "src/core/analyzer.h"
 
+#include <optional>
+
 #include "src/trace/merge.h"
 #include "src/trace/serialize.h"
 #include "src/util/logging.h"
@@ -15,6 +17,26 @@
 
 namespace tracelens
 {
+
+namespace
+{
+
+/**
+ * The graphs at @p indices of @p all. Copies are handles sharing
+ * @p all's storage, so a class subset costs no node copies.
+ */
+std::vector<WaitGraph>
+gatherGraphs(const std::vector<WaitGraph> &all,
+             const std::vector<std::uint32_t> &indices)
+{
+    std::vector<WaitGraph> subset;
+    subset.reserve(indices.size());
+    for (std::uint32_t i : indices)
+        subset.push_back(all[i]);
+    return subset;
+}
+
+} // namespace
 
 double
 ScenarioAnalysis::driverCostShare()
@@ -42,13 +64,37 @@ Analyzer::Analyzer(TraceSource &source, AnalyzerConfig config)
       components_(config_.components), store_(config_.artifactCacheDir)
 {
     computeFingerprints();
-    const std::size_t count = source.shardCount();
-    for (std::size_t i = 0; i < count; ++i) {
-        Expected<CorpusPtr> shard = source.shard(i);
-        if (!shard)
-            continue; // isolated and recorded in source.stats()
-        absorb(*shard.value(), shard.value());
-    }
+    // Decode and digest shards in parallel; absorb them serially in
+    // shard order, so interning order and the digest chain match a
+    // serial ingest exactly.
+    struct Decoded
+    {
+        Expected<CorpusPtr> shard;
+        Digest digest;
+    };
+    std::vector<std::optional<Decoded>> slots(source.shardCount());
+    parallelPipeline(
+        config_.threads, slots.size(),
+        [&](std::size_t i) {
+            Expected<CorpusPtr> shard = source.shard(i);
+            Digest digest;
+            if (shard)
+                digest = digestCorpus(*shard.value());
+            slots[i].emplace(Decoded{std::move(shard), digest});
+        },
+        [&](std::size_t i) {
+            Decoded decoded = std::move(*slots[i]);
+            slots[i].reset();
+            if (!decoded.shard) {
+                // Recorded in source.stats(); warned here, in shard
+                // order, whatever order the decodes finished in.
+                warn("skipping corrupt shard: ",
+                     decoded.shard.error().render());
+                return;
+            }
+            absorb(*decoded.shard.value(), decoded.shard.value(),
+                   decoded.digest);
+        });
 }
 
 void
@@ -82,7 +128,8 @@ Analyzer::computeFingerprints()
 }
 
 void
-Analyzer::absorb(const TraceCorpus &part, CorpusPtr alias)
+Analyzer::absorb(const TraceCorpus &part, CorpusPtr alias,
+                 const Digest &digest)
 {
     Span span("analyzer.ingest-shard", "analysis");
     if (span.active()) {
@@ -92,7 +139,7 @@ Analyzer::absorb(const TraceCorpus &part, CorpusPtr alias)
     }
 
     ShardRecord record;
-    record.digest = digestCorpus(part);
+    record.digest = digest;
     record.chain = shards_.empty() ? Digest{} : shards_.back().chain;
     record.chain.mix(record.digest);
     record.firstInstance =
@@ -135,7 +182,7 @@ void
 Analyzer::addStreams(const TraceCorpus &part)
 {
     ensureOwned();
-    absorb(part, nullptr);
+    absorb(part, nullptr, digestCorpus(part));
 }
 
 const Digest &
@@ -272,13 +319,8 @@ Analyzer::scenarioPartial(std::string_view name, DurationNs t_fast,
         partial.classes.slowDuration +=
             corpus_->instances()[i].duration();
 
-    const std::vector<WaitGraph> &all = graphs();
     auto gather = [&](const std::vector<std::uint32_t> &indices) {
-        std::vector<WaitGraph> subset;
-        subset.reserve(indices.size());
-        for (std::uint32_t i : indices)
-            subset.push_back(all[i]);
-        return subset;
+        return gatherGraphs(graphs(), indices);
     };
 
     ImpactAnalysis impact(*corpus_, components_);
@@ -361,13 +403,8 @@ Analyzer::analyzeScenarioWithThreads(std::string_view name,
         .mix(static_cast<std::uint64_t>(t_fast))
         .mix(static_cast<std::uint64_t>(t_slow));
 
-    const std::vector<WaitGraph> &all = graphs();
     auto gather = [&](const std::vector<std::uint32_t> &indices) {
-        std::vector<WaitGraph> subset;
-        subset.reserve(indices.size());
-        for (std::uint32_t i : indices)
-            subset.push_back(all[i]); // copy: subsets stay independent
-        return subset;
+        return gatherGraphs(graphs(), indices);
     };
 
     auto slowImpact = store_.get<ImpactResult>(

@@ -135,10 +135,11 @@ class Analyzer
     /**
      * Analyze the corpus served by @p source: the source decides how
      * trace bytes reach memory (eager load, mmap, sharded directory)
-     * and isolates corrupt shards; the analyzer ingests the usable
-     * shards one at a time, recording each shard's content digest for
-     * artifact keying, so construction may materialize. @p source
-     * must outlive the analyzer.
+     * and isolates corrupt shards. The analyzer decodes and digests
+     * up to AnalyzerConfig::threads shards concurrently (so
+     * construction may materialize) and appends the usable ones in
+     * shard order, recording each shard's content digest for artifact
+     * keying. @p source must outlive the analyzer.
      */
     explicit Analyzer(TraceSource &source, AnalyzerConfig config = {});
 
@@ -203,8 +204,8 @@ class Analyzer
     /**
      * The per-instance wait graphs, in instance order. Assembled from
      * the store's per-shard bundles on first use (and re-assembled
-     * after addStreams); thread-safe, so concurrent analyses share
-     * one build.
+     * after addStreams) as handles sharing the bundles' storage;
+     * thread-safe, so concurrent analyses share one build.
      */
     const std::vector<WaitGraph> &graphs() const;
 
@@ -249,12 +250,14 @@ class Analyzer
     void computeFingerprints();
 
     /**
-     * Ingest @p part as the next shard. @p alias, when non-null, is a
-     * handle to @p part that may be adopted directly as the analysis
-     * corpus (single-shard fast path — no copy); a second shard
-     * forces the copy-on-append switch to an owned merged corpus.
+     * Ingest @p part, whose digestCorpus() is @p digest, as the next
+     * shard. @p alias, when non-null, is a handle to @p part that may
+     * be adopted directly as the analysis corpus (single-shard fast
+     * path — no copy); a second shard forces the copy-on-append
+     * switch to an owned merged corpus.
      */
-    void absorb(const TraceCorpus &part, CorpusPtr alias);
+    void absorb(const TraceCorpus &part, CorpusPtr alias,
+                const Digest &digest);
 
     /** Switch from an aliased single shard to an owned copy. */
     void ensureOwned();

@@ -420,15 +420,15 @@ WaitGraphCodec::encode(const std::vector<WaitGraph> &graphs,
 {
     putU64(out, graphs.size());
     for (const WaitGraph &graph : graphs) {
-        const ScenarioInstance &inst = graph.instance_;
+        const ScenarioInstance &inst = graph.instance();
         putU32(out, inst.stream);
         putU32(out, inst.scenario);
         putU32(out, inst.tid);
         putI64(out, inst.t0);
         putI64(out, inst.t1);
 
-        putU64(out, graph.nodes_.size());
-        for (const WaitGraph::Node &node : graph.nodes_) {
+        putU64(out, graph.nodes().size());
+        for (const WaitGraph::Node &node : graph.nodes()) {
             putI64(out, node.event.timestamp);
             putI64(out, node.event.cost);
             putU32(out, node.event.tid);
@@ -444,8 +444,8 @@ WaitGraphCodec::encode(const std::vector<WaitGraph> &graphs,
             for (std::uint32_t child : children)
                 putU32(out, child);
         }
-        putU64(out, graph.roots_.size());
-        for (std::uint32_t root : graph.roots_)
+        putU64(out, graph.roots().size());
+        for (std::uint32_t root : graph.roots())
             putU32(out, root);
     }
 }
@@ -462,17 +462,18 @@ WaitGraphCodec::decode(const std::string &bytes,
     graphs.clear();
     graphs.reserve(graph_count);
     for (std::uint64_t g = 0; g < graph_count; ++g) {
-        WaitGraph graph;
-        graph.instance_.stream = reader.u32();
-        graph.instance_.scenario = reader.u32();
-        graph.instance_.tid = reader.u32();
-        graph.instance_.t0 = reader.i64();
-        graph.instance_.t1 = reader.i64();
+        auto body = std::make_shared<WaitGraph::Body>();
+        WaitGraph::Body &graph = *body;
+        graph.instance.stream = reader.u32();
+        graph.instance.scenario = reader.u32();
+        graph.instance.tid = reader.u32();
+        graph.instance.t0 = reader.i64();
+        graph.instance.t1 = reader.i64();
 
         const std::uint64_t node_count = reader.u64();
         if (!reader.countFits(node_count, 50)) // fixed node bytes
             return false;
-        graph.nodes_.reserve(node_count);
+        graph.nodes.reserve(node_count);
         for (std::uint64_t n = 0; n < node_count; ++n) {
             WaitGraph::Node node;
             node.event.timestamp = reader.i64();
@@ -499,29 +500,29 @@ WaitGraphCodec::decode(const std::string &bytes,
             // order encode() walked them, so appending each node's
             // segment reproduces the builder's layout.
             node.childBegin =
-                static_cast<std::uint32_t>(graph.child_arena_.size());
+                static_cast<std::uint32_t>(graph.childArena.size());
             node.childCount = static_cast<std::uint32_t>(child_count);
             for (std::uint64_t c = 0; c < child_count; ++c) {
                 const std::uint32_t child = reader.u32();
                 if (child >= node_count)
                     return false;
-                graph.child_arena_.push_back(child);
+                graph.childArena.push_back(child);
             }
-            graph.nodes_.push_back(node);
+            graph.nodes.push_back(node);
         }
         const std::uint64_t root_count = reader.u64();
         if (!reader.countFits(root_count, 4))
             return false;
-        graph.roots_.reserve(root_count);
+        graph.roots.reserve(root_count);
         for (std::uint64_t r = 0; r < root_count; ++r) {
             const std::uint32_t root = reader.u32();
             if (root >= node_count)
                 return false;
-            graph.roots_.push_back(root);
+            graph.roots.push_back(root);
         }
         if (reader.failed())
             return false;
-        graphs.push_back(std::move(graph));
+        graphs.push_back(WaitGraph(std::move(body)));
     }
     return !reader.failed() && reader.atEnd();
 }

@@ -143,8 +143,9 @@ buildHtmlReport(const Analyzer &analyzer,
 
     html << "<h2>Impact by component</h2>\n<table><tr><th>Component"
          << "</th><th>Wait</th><th>Run</th><th>Waits</th></tr>\n";
-    const auto by_component = impactByComponent(
-        corpus, analyzer.graphs(), analyzer.components());
+    const auto by_component =
+        impactByComponent(corpus, analyzer.graphs(),
+                          analyzer.components(), analyzer.config().threads);
     for (std::size_t i = 0;
          i < std::min(options.topComponents, by_component.size());
          ++i) {

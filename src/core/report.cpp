@@ -43,8 +43,9 @@ buildReport(const Analyzer &analyzer,
     oss << analyzer.impactAll().render() << "\n\n";
 
     oss << "---- impact by component ----\n";
-    const auto by_component = impactByComponent(
-        corpus, analyzer.graphs(), analyzer.components());
+    const auto by_component =
+        impactByComponent(corpus, analyzer.graphs(),
+                          analyzer.components(), analyzer.config().threads);
     TextTable component_table({"Component", "Wait", "Run", "Waits"});
     for (std::size_t i = 0;
          i < std::min(options.topComponents, by_component.size());

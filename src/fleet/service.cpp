@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <utility>
 
 #include "src/fleet/fleet.h"
@@ -98,6 +99,36 @@ FleetService::ingest(std::string name, TraceCorpus corpus,
     }
     return ingestLocked(std::move(name), std::move(corpus),
                         timestampMs);
+}
+
+std::optional<std::string>
+FleetService::landPushedShard(const std::string &name,
+                              std::string_view bytes)
+{
+    namespace fs = std::filesystem;
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const fs::path dir(config_.dir);
+    const fs::path staged = dir / ("." + name + ".tmp");
+    const fs::path finished = dir / name;
+    watcher_.markSeen(finished.string());
+
+    std::error_code ec;
+    fs::create_directories(dir, ec);
+    {
+        std::ofstream out(staged, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+        out.flush();
+        if (!out) {
+            fs::remove(staged, ec);
+            return "cannot stage shard in spool " + dir.string();
+        }
+    }
+    fs::rename(staged, finished, ec);
+    if (ec) {
+        fs::remove(staged, ec);
+        return "cannot finish shard rename: " + ec.message();
+    }
+    return std::nullopt;
 }
 
 IngestOutcome

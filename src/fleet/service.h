@@ -27,6 +27,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -93,6 +94,17 @@ class FleetService
      */
     IngestOutcome ingest(std::string name, TraceCorpus corpus,
                          std::optional<std::uint64_t> timestampMs);
+
+    /**
+     * Land pushed shard bytes in the spool as @p name by the
+     * rename-into-place convention (docs/TRACE_FORMAT.md), so a
+     * restart replays them from disk. The name is marked seen under
+     * the service mutex *before* the rename: a poll running between
+     * the rename and the ingest() that follows cannot ingest the
+     * shard a second time. Returns an error message on failure.
+     */
+    std::optional<std::string> landPushedShard(const std::string &name,
+                                               std::string_view bytes);
 
     /** Start/stop the background poll thread (idempotent). */
     void start();

@@ -1,7 +1,8 @@
 /**
  * @file
  * Per-component and per-signature splits of the Section-3 impact
- * metrics over cached wait graphs.
+ * metrics over cached wait graphs; the per-component split runs as a
+ * parallel map over graph chunks with an order-free integer-sum fold.
  */
 
 #include "src/impact/breakdown.h"
@@ -11,6 +12,7 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "src/util/parallel.h"
 #include "src/util/table.h"
 
 namespace tracelens
@@ -89,12 +91,39 @@ sortedComponents(
 std::vector<ComponentImpact>
 impactByComponent(const TraceCorpus &corpus,
                   std::span<const WaitGraph> graphs,
-                  const NameFilter &components)
+                  const NameFilter &components, unsigned threads)
 {
+    // Primed up front: the chunks below read the filter cache
+    // concurrently, which is safe once it covers every frame.
     corpus.symbols().primeFilter(components);
-    std::unordered_map<std::uint32_t, ComponentImpact> by_component;
-    for (const WaitGraph &graph : graphs)
-        accumulateComponents(corpus, graph, components, by_component);
+
+    using Tally = std::unordered_map<std::uint32_t, ComponentImpact>;
+    constexpr std::size_t kChunk = 256;
+    const std::size_t chunks = (graphs.size() + kChunk - 1) / kChunk;
+    std::vector<Tally> tallies =
+        parallelMap<Tally>(threads, chunks, [&](std::size_t c) {
+            Tally tally;
+            const std::size_t end =
+                std::min(graphs.size(), (c + 1) * kChunk);
+            for (std::size_t g = c * kChunk; g < end; ++g)
+                accumulateComponents(corpus, graphs[g], components,
+                                     tally);
+            return tally;
+        });
+
+    // Integer sums per component id: the fold is order-free, so the
+    // result is the same for every thread count and chunking.
+    Tally by_component;
+    for (Tally &tally : tallies) {
+        for (auto &[id, entry] : tally) {
+            ComponentImpact &sum = by_component[id];
+            if (sum.component.empty())
+                sum.component = std::move(entry.component);
+            sum.wait += entry.wait;
+            sum.run += entry.run;
+            sum.waitEvents += entry.waitEvents;
+        }
+    }
     return sortedComponents(std::move(by_component));
 }
 

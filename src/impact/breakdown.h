@@ -41,12 +41,14 @@ struct ComponentImpact
  * attribution rules mirror ImpactAnalysis: a top-level matching wait's
  * time goes to the component of its topmost matching frame; running
  * samples go to the component of their topmost matching frame.
- * Sorted by total time descending.
+ * Sorted by total time descending. Graph chunks are accumulated on
+ * @p threads workers (0 = all hardware threads) and their integer
+ * sums folded, so the result is identical for every thread count.
  */
 std::vector<ComponentImpact>
 impactByComponent(const TraceCorpus &corpus,
                   std::span<const WaitGraph> graphs,
-                  const NameFilter &components);
+                  const NameFilter &components, unsigned threads = 1);
 
 /** One instance's duration, attributed. */
 struct InstanceBreakdown

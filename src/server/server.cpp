@@ -25,9 +25,6 @@
 #include <utility>
 #include <vector>
 
-#include <filesystem>
-#include <fstream>
-
 #include "src/core/partial.h"
 #include "src/core/resultjson.h"
 #include "src/fleet/fleet.h"
@@ -2057,33 +2054,10 @@ Server::handleIngestPush(const QueuedRequest &request)
         registry_.acquire(config_.fleetWatchDir);
 
     // Land the shard in the spool by the same rename-into-place
-    // convention on-host writers use (docs/TRACE_FORMAT.md), so a
-    // daemon restart replays it from disk.
-    namespace fs = std::filesystem;
-    const fs::path dir(config_.fleetWatchDir);
-    std::error_code ec;
-    fs::create_directories(dir, ec);
-    const fs::path staged = dir / ("." + name + ".tmp");
-    const fs::path finished = dir / name;
-    {
-        std::ofstream out(staged,
-                          std::ios::binary | std::ios::trunc);
-        out.write(bytes->data(),
-                  static_cast<std::streamsize>(bytes->size()));
-        out.flush();
-        if (!out) {
-            fs::remove(staged, ec);
-            failRequest(ErrorCode::Internal,
-                        "cannot stage shard in spool " +
-                            dir.string());
-        }
-    }
-    fs::rename(staged, finished, ec);
-    if (ec) {
-        fs::remove(staged, ec);
-        failRequest(ErrorCode::Internal,
-                    "cannot finish shard rename: " + ec.message());
-    }
+    // convention on-host writers use, so a daemon restart replays it
+    // from disk; the watcher never sees it as a fresh arrival.
+    if (auto error = fleet_->landPushedShard(name, *bytes))
+        failRequest(ErrorCode::Internal, *error);
 
     // Extend the warm batch session in place. The corpus digest
     // changes, so cached responses self-invalidate.

@@ -164,6 +164,7 @@ EagerSource::shardPath(std::size_t shard) const
 void
 EagerSource::countLoaded(std::size_t shard, std::uint64_t bytes)
 {
+    const std::lock_guard<std::mutex> lock(mutex_);
     if (everLoaded_[shard])
         return;
     everLoaded_[shard] = true;
@@ -175,12 +176,17 @@ EagerSource::countLoaded(std::size_t shard, std::uint64_t bytes)
 void
 EagerSource::recordError(std::size_t shard, const SourceError &error)
 {
+    const std::lock_guard<std::mutex> lock(mutex_);
     if (reported_[shard])
         return;
+    // Keep errors in shard order, whatever order concurrent decodes
+    // fail in: the shards reported so far below this one precede it.
+    const auto before = std::count(
+        reported_.begin(),
+        reported_.begin() + static_cast<std::ptrdiff_t>(shard), true);
     reported_[shard] = true;
-    warn("skipping corrupt shard: ", error.render());
     stats_.skippedShards++;
-    stats_.errors.push_back(error);
+    stats_.errors.insert(stats_.errors.begin() + before, error);
 }
 
 Expected<ShardSummary>
@@ -235,6 +241,7 @@ EagerSource::ensureLoaded()
         Expected<TraceCorpus> part = readCorpusFileChecked(paths_[i]);
         if (!part) {
             recordError(i, part.error());
+            warn("skipping corrupt shard: ", part.error().render());
             continue;
         }
         countLoaded(i, fileSizeOrZero(paths_[i]));
@@ -309,9 +316,12 @@ MmapSource::markBad(std::size_t shard, SourceError error)
 {
     if (bad_.count(shard) > 0)
         return;
-    warn("skipping corrupt shard: ", error.render());
+    // Keep errors in shard order, whatever order concurrent decodes
+    // fail in: bad_ is ordered, so its rank is the error's position.
+    const auto before =
+        std::distance(bad_.begin(), bad_.lower_bound(shard));
     stats_.skippedShards++;
-    stats_.errors.push_back(error);
+    stats_.errors.insert(stats_.errors.begin() + before, error);
     bad_.emplace(shard, std::move(error));
 }
 
@@ -319,8 +329,11 @@ Expected<ShardSummary>
 MmapSource::summarize(std::size_t shard)
 {
     TL_ASSERT(shard < paths_.size(), "bad shard index ", shard);
-    if (auto it = bad_.find(shard); it != bad_.end())
-        return it->second;
+    {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        if (auto it = bad_.find(shard); it != bad_.end())
+            return it->second;
+    }
     const MmapReader &reader = *readers_[shard];
     ShardSummary summary;
     summary.path = reader.path();
@@ -360,28 +373,41 @@ Expected<CorpusPtr>
 MmapSource::shard(std::size_t shard)
 {
     TL_ASSERT(shard < paths_.size(), "bad shard index ", shard);
-    if (auto bad = bad_.find(shard); bad != bad_.end())
-        return bad->second;
-
     Span span("source.shard", "ingest");
     if (span.active())
         span.arg("shard", static_cast<std::uint64_t>(shard));
 
-    if (auto it = cache_.find(shard); it != cache_.end()) {
-        stats_.cacheHits++;
-        sourceMetrics().cacheHits.add(1);
-        if (span.active())
-            span.arg("outcome", std::string("hit"));
-        touch(it->second, shard);
-        return it->second.corpus;
+    {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        if (auto bad = bad_.find(shard); bad != bad_.end())
+            return bad->second;
+        if (auto it = cache_.find(shard); it != cache_.end()) {
+            stats_.cacheHits++;
+            sourceMetrics().cacheHits.add(1);
+            if (span.active())
+                span.arg("outcome", std::string("hit"));
+            touch(it->second, shard);
+            return it->second.corpus;
+        }
+        stats_.cacheMisses++;
+        sourceMetrics().cacheMisses.add(1);
     }
-
-    stats_.cacheMisses++;
-    sourceMetrics().cacheMisses.add(1);
     if (span.active())
         span.arg("outcome", std::string("miss"));
+
+    // Decode outside the lock: distinct shards materialize
+    // concurrently, each through its own reader.
     Expected<TraceCorpus> materialized = readers_[shard]->materialize();
-    if (!materialized) {
+    CorpusPtr corpus;
+    std::size_t bytes = 0;
+    if (materialized) {
+        corpus = std::make_shared<const TraceCorpus>(
+            std::move(materialized.value()));
+        bytes = estimateCorpusBytes(*corpus);
+    }
+
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (!corpus) {
         markBad(shard, materialized.error());
         return materialized.error();
     }
@@ -390,11 +416,15 @@ MmapSource::shard(std::size_t shard)
         stats_.loadedShards++;
         sourceMetrics().shardLoads.add(1);
     }
+    if (auto it = cache_.find(shard); it != cache_.end()) {
+        // A concurrent call for the same shard cached it first.
+        touch(it->second, shard);
+        return it->second.corpus;
+    }
 
     CacheEntry entry;
-    entry.corpus = std::make_shared<const TraceCorpus>(
-        std::move(materialized.value()));
-    entry.bytes = estimateCorpusBytes(*entry.corpus);
+    entry.corpus = std::move(corpus);
+    entry.bytes = bytes;
     lru_.push_front(shard);
     entry.lruIt = lru_.begin();
     stats_.residentBytes += entry.bytes;
@@ -415,10 +445,12 @@ MmapSource::corpus()
     if (paths_.size() == 1) {
         // Single-shard fast path: adopt the materialized corpus
         // without an extra merge copy.
-        if (Expected<CorpusPtr> part = shard(0)) {
+        Expected<CorpusPtr> part = shard(0);
+        if (part) {
             mergedShard_ = part.value();
             return *mergedShard_;
         }
+        warn("skipping corrupt shard: ", part.error().render());
         merged_.emplace(); // corrupt single shard: empty corpus
         return *merged_;
     }
@@ -429,8 +461,11 @@ MmapSource::corpus()
     merged_.emplace();
     for (std::size_t i = 0; i < paths_.size(); ++i) {
         Expected<CorpusPtr> part = shard(i);
-        if (!part)
-            continue; // isolated and recorded in stats()
+        if (!part) {
+            // Isolated and recorded in stats().
+            warn("skipping corrupt shard: ", part.error().render());
+            continue;
+        }
         appendCorpus(*merged_, *part.value());
     }
     return *merged_;

@@ -20,9 +20,9 @@
  *                  cache bounded by a configurable byte budget.
  *
  * Both implementations isolate per-shard errors: a corrupt trace file
- * is recorded in IngestStats::errors and skipped — never fatal. The
- * two paths produce bit-identical analysis results (asserted by
- * tests/source_test.cpp).
+ * is recorded in IngestStats::errors (in shard order) and skipped —
+ * never fatal. The two paths produce bit-identical analysis results
+ * (asserted by tests/source_test.cpp).
  */
 
 #ifndef TRACELENS_TRACE_SOURCE_H
@@ -31,7 +31,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <list>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -102,10 +104,20 @@ struct ShardSummary
 using CorpusPtr = std::shared_ptr<const TraceCorpus>;
 
 /**
- * Pure interface the Analyzer (and CLI) ingest through. Implementations
- * are not required to be thread-safe; share one source across threads
- * only behind external synchronization. corpus() may materialize and
- * so may be expensive on first call; it is cached afterwards.
+ * Pure interface the Analyzer (and CLI) ingest through.
+ *
+ * Threading contract: shard() must be safe to call concurrently for
+ * distinct shard indices — the Analyzer decodes several shards at
+ * once (AnalyzerConfig::threads). Implementations decode outside any
+ * lock and serialize only their bookkeeping (stats, caches, the
+ * bad-shard record), and they keep IngestStats::errors in shard order
+ * whatever order concurrent decodes fail in. Everything else —
+ * corpus(), summarize(), reading stats() — is single-threaded: share a
+ * source across threads for those only behind external
+ * synchronization. Warning about a skipped shard is the caller's job,
+ * at the point where it skips it, so warnings follow the caller's
+ * (shard) order too. corpus() may materialize and so may be expensive
+ * on first call; it is cached afterwards.
  */
 class TraceSource
 {
@@ -180,6 +192,9 @@ class EagerSource : public TraceSource
     /** Shards that counted toward loadedShards already. */
     std::vector<bool> everLoaded_;
     IngestStats stats_;
+    /** Guards reported_, everLoaded_ and stats_ under concurrent
+     *  shard() calls. */
+    std::mutex mutex_;
 };
 
 /**
@@ -209,7 +224,7 @@ class MmapSource : public TraceSource
         std::list<std::size_t>::iterator lruIt;
     };
 
-    /** Record shard @p i as corrupt (first time only). */
+    /** Record shard @p i as corrupt (first time only; mutex_ held). */
     void markBad(std::size_t shard, SourceError error);
     void touch(CacheEntry &entry, std::size_t shard);
     void evictOver(std::size_t budget);
@@ -218,8 +233,8 @@ class MmapSource : public TraceSource
     SourceOptions options_;
     /** Open readers; nullopt for shards that failed to open/index. */
     std::vector<std::optional<MmapReader>> readers_;
-    /** Open/materialize error per bad shard. */
-    std::unordered_map<std::size_t, SourceError> bad_;
+    /** Open/materialize error per bad shard, in shard order. */
+    std::map<std::size_t, SourceError> bad_;
     /** Shards that counted toward loadedShards already. */
     std::vector<bool> everLoaded_;
 
@@ -230,6 +245,9 @@ class MmapSource : public TraceSource
     std::optional<TraceCorpus> merged_;
     CorpusPtr mergedShard_; // pins the single-shard fast path
     IngestStats stats_;
+    /** Guards bad_, everLoaded_, cache_, lru_ and stats_ under
+     *  concurrent shard() calls; decodes run outside it. */
+    std::mutex mutex_;
 };
 
 /**

@@ -280,4 +280,99 @@ parallelFor(unsigned threads, std::size_t begin, std::size_t end,
     pool.parallelFor(begin, end, body);
 }
 
+void
+parallelPipeline(unsigned threads, std::size_t n,
+                 const std::function<void(std::size_t)> &produce,
+                 const std::function<void(std::size_t)> &consume)
+{
+    const std::size_t window = resolveThreads(threads);
+    if (window == 1 || n <= 1) {
+        for (std::size_t i = 0; i < n; ++i) {
+            produce(i);
+            consume(i);
+        }
+        return;
+    }
+
+    std::mutex mutex;
+    std::condition_variable changed;
+    std::size_t claimed = 0;  // items handed to a producer
+    std::size_t consumed = 0; // items the caller has consumed
+    std::vector<char> ready(n, 0);
+    std::exception_ptr error;
+
+    // Claim the next item if the window allows it (mutex held).
+    auto claim = [&](std::size_t &item) {
+        if (error || claimed == n || claimed >= consumed + window)
+            return false;
+        item = claimed++;
+        return true;
+    };
+    // Produce @p item outside the lock, then publish it.
+    auto run = [&](std::size_t item, std::unique_lock<std::mutex> &lock) {
+        lock.unlock();
+        std::exception_ptr thrown;
+        try {
+            produce(item);
+        } catch (...) {
+            thrown = std::current_exception();
+        }
+        lock.lock();
+        if (thrown && !error)
+            error = thrown;
+        ready[item] = 1;
+        changed.notify_all();
+    };
+
+    std::vector<std::thread> helpers;
+    helpers.reserve(window - 1);
+    for (std::size_t t = 1; t < window && t < n; ++t) {
+        helpers.emplace_back([&] {
+            std::unique_lock<std::mutex> lock(mutex);
+            while (true) {
+                std::size_t item = 0;
+                changed.wait(lock, [&] {
+                    return error || claimed == n ||
+                           claimed < consumed + window;
+                });
+                if (!claim(item))
+                    return;
+                run(item, lock);
+            }
+        });
+    }
+
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        for (std::size_t i = 0; i < n && !error; ++i) {
+            // While item i is still in flight, help with the window.
+            while (!ready[i] && !error) {
+                std::size_t item = 0;
+                if (claim(item))
+                    run(item, lock);
+                else
+                    changed.wait(lock);
+            }
+            if (error)
+                break;
+            lock.unlock();
+            try {
+                consume(i);
+            } catch (...) {
+                lock.lock();
+                error = std::current_exception();
+                changed.notify_all();
+                break;
+            }
+            lock.lock();
+            ++consumed;
+            changed.notify_all();
+        }
+    }
+    for (std::thread &helper : helpers)
+        helper.join();
+    if (error)
+        std::rethrow_exception(error);
+}
+
 } // namespace tracelens

@@ -144,6 +144,22 @@ parallelMap(unsigned threads, std::size_t n, Fn &&fn)
     return results;
 }
 
+/**
+ * Ordered pipeline: run produce(i) for every i in [0, n) on
+ * @p threads workers (caller included) and consume(i) on the calling
+ * thread strictly in index order, overlapping the serial consumption
+ * with later productions. At most @p threads items are produced but
+ * not yet consumed at any time, which bounds the memory they hold.
+ * produce(i) and consume(i) exchange results through caller-owned
+ * slot i; the pipeline orders every produce(i) before its consume(i).
+ * threads <= 1 runs produce(i), consume(i) alternately inline. The
+ * first exception from either callback stops the pipeline and is
+ * rethrown on the calling thread.
+ */
+void parallelPipeline(unsigned threads, std::size_t n,
+                      const std::function<void(std::size_t)> &produce,
+                      const std::function<void(std::size_t)> &consume);
+
 } // namespace tracelens
 
 #endif // TRACELENS_UTIL_PARALLEL_H

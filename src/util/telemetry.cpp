@@ -476,6 +476,19 @@ threadContext()
     return context;
 }
 
+/**
+ * How many spans were already open on the calling thread when its
+ * current TraceContextScope was installed. Those enclosing local spans
+ * are shadowed: a span opened with no newer open span takes the
+ * context's parent, not theirs.
+ */
+std::size_t &
+threadContextBase()
+{
+    thread_local std::size_t base = 0;
+    return base;
+}
+
 struct BufferRegistry
 {
     std::mutex mutex;
@@ -576,14 +589,16 @@ threadCpuNs()
 std::atomic<bool> Telemetry::enabled_{false};
 
 TraceContextScope::TraceContextScope(const SpanContext &context)
-    : saved_(threadContext())
+    : saved_(threadContext()), savedBase_(threadContextBase())
 {
     threadContext() = context;
+    threadContextBase() = threadBuffer().activeSpans.size();
 }
 
 TraceContextScope::~TraceContextScope()
 {
     threadContext() = saved_;
+    threadContextBase() = savedBase_;
 }
 
 Span::Span(const char *name, const char *category)
@@ -596,9 +611,9 @@ Span::Span(const char *name, const char *category)
     buffer.depth++;
     const SpanContext &context = threadContext();
     traceId_ = context.traceId;
-    parentSpanId_ = buffer.activeSpans.empty()
-                        ? context.parentSpanId
-                        : buffer.activeSpans.back();
+    parentSpanId_ = buffer.activeSpans.size() > threadContextBase()
+                        ? buffer.activeSpans.back()
+                        : context.parentSpanId;
     spanId_ = nextTelemetryId();
     buffer.activeSpans.push_back(spanId_);
     startUs_ = nowUs();
@@ -902,7 +917,7 @@ Telemetry::currentContext()
 {
     SpanContext context = threadContext();
     const ThreadBuffer &buffer = threadBuffer();
-    if (!buffer.activeSpans.empty())
+    if (buffer.activeSpans.size() > threadContextBase())
         context.parentSpanId = buffer.activeSpans.back();
     return context;
 }

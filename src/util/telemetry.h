@@ -288,8 +288,11 @@ struct SpanContext
  * Installs @p context as the calling thread's current trace context
  * for the scope's lifetime (restoring the previous one on exit).
  * Spans opened while the scope is active record the context's trace
- * id, and a root-level span adopts the context's parent span id —
- * the receiving half of cross-process propagation.
+ * id, and a span opened with no newer span open inside the scope
+ * adopts the context's parent span id — the receiving half of
+ * cross-process propagation. The context shadows local spans that
+ * were already open when it was installed (a long-lived worker span
+ * around a request loop, say): they never become the parent.
  */
 class TraceContextScope
 {
@@ -302,6 +305,7 @@ class TraceContextScope
 
   private:
     SpanContext saved_;
+    std::size_t savedBase_ = 0;
 };
 
 /**

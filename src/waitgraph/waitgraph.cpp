@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <limits>
 #include <sstream>
+#include <unordered_set>
 
 #include "src/trace/columns.h"
 #include "src/util/logging.h"
@@ -25,19 +26,22 @@
 namespace tracelens
 {
 
+const WaitGraph::Body WaitGraph::kEmptyBody{};
+
 const WaitGraph::Node &
 WaitGraph::node(std::uint32_t index) const
 {
-    TL_ASSERT(index < nodes_.size(), "bad node index ", index);
-    return nodes_[index];
+    const std::vector<Node> &all = nodes();
+    TL_ASSERT(index < all.size(), "bad node index ", index);
+    return all[index];
 }
 
 DurationNs
 WaitGraph::topLevelDuration() const
 {
     DurationNs total = 0;
-    for (std::uint32_t root : roots_)
-        total += nodes_[root].event.cost;
+    for (std::uint32_t root : roots())
+        total += nodes()[root].event.cost;
     return total;
 }
 
@@ -55,7 +59,7 @@ WaitGraph::renderText(const SymbolTable &symbols,
         std::size_t depth;
     };
     std::vector<Frame> stack;
-    for (auto it = roots_.rbegin(); it != roots_.rend(); ++it)
+    for (auto it = roots().rbegin(); it != roots().rend(); ++it)
         stack.push_back({*it, 0});
 
     while (!stack.empty()) {
@@ -65,7 +69,7 @@ WaitGraph::renderText(const SymbolTable &symbols,
             oss << "...\n";
             break;
         }
-        const Node &n = nodes_[id];
+        const Node &n = nodes()[id];
         oss << std::string(depth * 2, ' ')
             << eventTypeName(n.event.type) << " tid=" << n.event.tid
             << " cost=" << toMs(n.event.cost) << "ms";
@@ -106,14 +110,10 @@ WaitGraphBuilder::BuildScratch::beginBuild(std::size_t events)
     }
 }
 
-const WaitGraphBuilder::StreamIndex &
-WaitGraphBuilder::streamIndex(std::uint32_t stream_id) const
+WaitGraphBuilder::StreamIndex
+WaitGraphBuilder::computeStreamIndex(const TraceStream &stream)
 {
-    auto it = cache_.find(stream_id);
-    if (it != cache_.end())
-        return it->second;
-
-    const EventColumns &columns = corpus_.stream(stream_id).columns();
+    const EventColumns &columns = stream.columns();
     const std::size_t n = columns.size();
     StreamIndex sindex;
 
@@ -125,8 +125,7 @@ WaitGraphBuilder::streamIndex(std::uint32_t stream_id) const
     sindex.threadSlots.build(columns.tids(), sindex.slotOfEvent);
     pairWaitsFifo(columns, sindex.threadSlots, sindex.slotOfEvent,
                   sindex.pairedUnwait);
-    computeEffectiveEnds(columns, sindex.pairedUnwait,
-                         corpus_.stream(stream_id).endTime(),
+    computeEffectiveEnds(columns, sindex.pairedUnwait, stream.endTime(),
                          sindex.effectiveEnd);
 
     // Per-thread CSR: counting sort of event indices over the slot
@@ -164,29 +163,41 @@ WaitGraphBuilder::streamIndex(std::uint32_t stream_id) const
             sindex.prefixMaxEnd[k] = running;
         }
     }
+    return sindex;
+}
 
-    return cache_.emplace(stream_id, std::move(sindex)).first->second;
+const WaitGraphBuilder::StreamIndex &
+WaitGraphBuilder::streamIndex(std::uint32_t stream_id) const
+{
+    auto it = cache_.find(stream_id);
+    if (it != cache_.end())
+        return it->second;
+    return cache_
+        .emplace(stream_id,
+                 computeStreamIndex(corpus_.stream(stream_id)))
+        .first->second;
 }
 
 std::uint32_t
-WaitGraphBuilder::expand(WaitGraph &graph, const StreamIndex &sindex,
+WaitGraphBuilder::expand(WaitGraph::Body &graph,
+                         const StreamIndex &sindex,
                          std::uint32_t stream_id,
                          const EventColumns &columns,
                          std::uint32_t index, std::uint32_t depth,
                          TimeNs win_lo, TimeNs win_hi,
                          BuildScratch &scratch) const
 {
-    if (graph.nodes_.size() >= options_.maxNodes)
+    if (graph.nodes.size() >= options_.maxNodes)
         return kInvalidIndex;
     if (scratch.visited(index))
         return kInvalidIndex; // first-reaching window owns the event
     scratch.mark(index);
 
     const Event source = columns[index];
-    const auto node_id = static_cast<std::uint32_t>(graph.nodes_.size());
-    graph.nodes_.emplace_back();
+    const auto node_id = static_cast<std::uint32_t>(graph.nodes.size());
+    graph.nodes.emplace_back();
     {
-        WaitGraph::Node &node = graph.nodes_.back();
+        WaitGraph::Node &node = graph.nodes.back();
         node.event = source;
         node.ref = {stream_id, index};
     }
@@ -202,7 +213,7 @@ WaitGraphBuilder::expand(WaitGraph &graph, const StreamIndex &sindex,
     const DurationNs clipped =
         std::max<DurationNs>(0, clip_hi - clip_lo);
 
-    graph.nodes_[node_id].event.cost = clipped;
+    graph.nodes[node_id].event.cost = clipped;
 
     if (source.type != EventType::Wait)
         return node_id;
@@ -211,14 +222,14 @@ WaitGraphBuilder::expand(WaitGraph &graph, const StreamIndex &sindex,
     if (unwait_index == kInvalidIndex) {
         // Truncated trace: the wait was restored to the stream's end
         // (already folded into effectiveEnd); leave it childless.
-        graph.nodes_[node_id].truncated = true;
+        graph.nodes[node_id].truncated = true;
         return node_id;
     }
 
-    graph.nodes_[node_id].unwaitStack = columns.stacks()[unwait_index];
+    graph.nodes[node_id].unwaitStack = columns.stacks()[unwait_index];
 
     if (depth >= options_.maxDepth) {
-        graph.nodes_[node_id].truncated = true;
+        graph.nodes[node_id].truncated = true;
         return node_id;
     }
 
@@ -280,7 +291,7 @@ WaitGraphBuilder::expand(WaitGraph &graph, const StreamIndex &sindex,
             expand(graph, sindex, stream_id, columns, child_index,
                    depth + 1, clip_lo, clip_hi, scratch);
         if (child_id == kInvalidIndex) {
-            graph.nodes_[node_id].truncated = true;
+            graph.nodes[node_id].truncated = true;
             continue;
         }
         scratch.childIds.push_back(child_id);
@@ -289,11 +300,11 @@ WaitGraphBuilder::expand(WaitGraph &graph, const StreamIndex &sindex,
     // Commit this node's finished child segment to the edge arena and
     // release the scratch segments.
     const std::size_t child_count = scratch.childIds.size() - child_mark;
-    graph.nodes_[node_id].childBegin =
-        static_cast<std::uint32_t>(graph.child_arena_.size());
-    graph.nodes_[node_id].childCount =
+    graph.nodes[node_id].childBegin =
+        static_cast<std::uint32_t>(graph.childArena.size());
+    graph.nodes[node_id].childCount =
         static_cast<std::uint32_t>(child_count);
-    graph.child_arena_.insert(graph.child_arena_.end(),
+    graph.childArena.insert(graph.childArena.end(),
                               scratch.childIds.begin() + child_mark,
                               scratch.childIds.end());
     scratch.childIds.resize(child_mark);
@@ -316,17 +327,18 @@ WaitGraphBuilder::build(const ScenarioInstance &instance) const
     const EventColumns &columns =
         corpus_.stream(instance.stream).columns();
 
-    WaitGraph graph;
-    graph.instance_ = instance;
+    auto body = std::make_shared<WaitGraph::Body>();
+    WaitGraph::Body &graph = *body;
+    graph.instance = instance;
 
     const std::uint32_t slot = sindex.slotOf(instance.tid);
     if (slot == kInvalidIndex)
-        return graph; // initiating thread recorded no events
+        return WaitGraph(std::move(body)); // thread recorded no events
 
     BuildScratch &scratch = threadScratch();
     scratch.beginBuild(columns.size());
-    graph.nodes_.reserve(scratch.nodeHint);
-    graph.child_arena_.reserve(scratch.arenaHint);
+    graph.nodes.reserve(scratch.nodeHint);
+    graph.childArena.reserve(scratch.arenaHint);
 
     const std::uint32_t t_begin = sindex.threadOffset[slot];
     const std::uint32_t t_end = sindex.threadOffset[slot + 1];
@@ -350,12 +362,12 @@ WaitGraphBuilder::build(const ScenarioInstance &instance) const
             std::numeric_limits<TimeNs>::min(),
             std::numeric_limits<TimeNs>::max(), scratch);
         if (root != kInvalidIndex)
-            graph.roots_.push_back(root);
+            graph.roots.push_back(root);
     }
-    scratch.nodeHint = std::max(scratch.nodeHint, graph.nodes_.size());
+    scratch.nodeHint = std::max(scratch.nodeHint, graph.nodes.size());
     scratch.arenaHint =
-        std::max(scratch.arenaHint, graph.child_arena_.size());
-    return graph;
+        std::max(scratch.arenaHint, graph.childArena.size());
+    return WaitGraph(std::move(body));
 }
 
 std::vector<WaitGraph>
@@ -399,11 +411,22 @@ WaitGraphBuilder::buildRangeParallel(std::uint32_t first,
         return graphs;
     }
 
-    // Warm the per-stream indices serially: the cache is not safe for
-    // concurrent insertion, but concurrent reads of a complete cache
-    // are.
-    for (std::uint32_t i = first; i < first + count; ++i)
-        streamIndex(instances[i].stream);
+    // Index the range's un-cached streams in parallel, then publish
+    // them serially: the cache is not safe for concurrent insertion,
+    // but concurrent reads of a complete cache are.
+    std::vector<std::uint32_t> missing;
+    std::unordered_set<std::uint32_t> queued;
+    for (std::uint32_t i = first; i < first + count; ++i) {
+        const std::uint32_t stream = instances[i].stream;
+        if (cache_.count(stream) == 0 && queued.insert(stream).second)
+            missing.push_back(stream);
+    }
+    std::vector<StreamIndex> indices = parallelMap<StreamIndex>(
+        threads, missing.size(), [&](std::size_t k) {
+            return computeStreamIndex(corpus_.stream(missing[k]));
+        });
+    for (std::size_t k = 0; k < missing.size(); ++k)
+        cache_.emplace(missing[k], std::move(indices[k]));
 
     std::vector<WaitGraph> graphs(count);
     tracelens::parallelFor(threads, 0, count, [&](std::size_t i) {

@@ -41,12 +41,21 @@
  * child walk is a contiguous span read. Access children through
  * WaitGraph::children(); see docs/PERFORMANCE.md for the layout
  * rationale and measurements.
+ *
+ * Sharing: a WaitGraph is an immutable handle to a reference-counted
+ * body (nodes, edge arena, roots, instance). Only WaitGraphBuilder and
+ * WaitGraphCodec write a body, and only one they just created, before
+ * publishing it; afterwards every copy of the handle reads the same
+ * storage. Copying a graph — into the analyzer's instance-ordered
+ * list, into a per-scenario class subset — is a reference-count bump,
+ * and concurrent reads from any number of threads need no locking.
  */
 
 #ifndef TRACELENS_WAITGRAPH_WAITGRAPH_H
 #define TRACELENS_WAITGRAPH_WAITGRAPH_H
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -98,10 +107,16 @@ class WaitGraph
         bool paired() const { return unwaitStack != kNoCallstack; }
     };
 
-    const std::vector<Node> &nodes() const { return nodes_; }
-    const std::vector<std::uint32_t> &roots() const { return roots_; }
+    /** An empty graph (no instance, no nodes). */
+    WaitGraph() : body_(std::shared_ptr<const Body>(), &kEmptyBody) {}
+
+    const std::vector<Node> &nodes() const { return body().nodes; }
+    const std::vector<std::uint32_t> &roots() const
+    {
+        return body().roots;
+    }
     const Node &node(std::uint32_t index) const;
-    const ScenarioInstance &instance() const { return instance_; }
+    const ScenarioInstance &instance() const { return body().instance; }
 
     /** Children of node @p index, as node ids in the edge arena. */
     std::span<const std::uint32_t>
@@ -114,15 +129,15 @@ class WaitGraph
     std::span<const std::uint32_t>
     children(const Node &n) const
     {
-        return std::span<const std::uint32_t>(child_arena_)
+        return std::span<const std::uint32_t>(body().childArena)
             .subspan(n.childBegin, n.childCount);
     }
 
     /** Sum of root-event costs: the instance's top-level time period. */
     DurationNs topLevelDuration() const;
 
-    bool empty() const { return nodes_.empty(); }
-    std::size_t size() const { return nodes_.size(); }
+    bool empty() const { return nodes().empty(); }
+    std::size_t size() const { return nodes().size(); }
 
     /**
      * Render the forest as an indented text tree: event type, thread,
@@ -138,11 +153,31 @@ class WaitGraph
     /** Binary artifact-cache codec (src/core/artifacts.cpp). */
     friend struct WaitGraphCodec;
 
-    std::vector<Node> nodes_;
-    /** Edge arena: every node's children, as CSR segments. */
-    std::vector<std::uint32_t> child_arena_;
-    std::vector<std::uint32_t> roots_;
-    ScenarioInstance instance_;
+    /** The shared storage; immutable once a handle owns it. */
+    struct Body
+    {
+        std::vector<Node> nodes;
+        /** Edge arena: every node's children, as CSR segments. */
+        std::vector<std::uint32_t> childArena;
+        std::vector<std::uint32_t> roots;
+        ScenarioInstance instance;
+    };
+
+    /**
+     * What a default-constructed (empty) graph points at, through an
+     * owner-less handle: copying it touches no reference count.
+     */
+    static const Body kEmptyBody;
+
+    explicit WaitGraph(std::shared_ptr<const Body> body)
+        : body_(std::move(body))
+    {
+    }
+
+    const Body &body() const { return *body_; }
+
+    /** Never null. */
+    std::shared_ptr<const Body> body_;
 };
 
 /** Construction limits and semantics knobs. */
@@ -196,10 +231,11 @@ class WaitGraphBuilder
     std::vector<WaitGraph> buildAll() const;
 
     /**
-     * buildAll() across @p threads worker threads. Per-stream indices
-     * are warmed serially first, then instances are partitioned; the
-     * result is identical (and bit-deterministic) regardless of thread
-     * count. Falls back to the serial path for threads <= 1.
+     * buildAll() across @p threads worker threads. The missing
+     * per-stream indices are computed in parallel first, then
+     * instances are partitioned; the result is identical (and
+     * bit-deterministic) regardless of thread count. Falls back to the
+     * serial path for threads <= 1.
      */
     std::vector<WaitGraph> buildAllParallel(unsigned threads) const;
 
@@ -299,6 +335,13 @@ class WaitGraphBuilder
      */
     static BuildScratch &threadScratch();
 
+    /**
+     * Build the index of @p stream: a pure function of the stream's
+     * columns and end time, so distinct streams index concurrently.
+     */
+    static StreamIndex computeStreamIndex(const TraceStream &stream);
+
+    /** The cached index of @p stream, computed on first use. */
     const StreamIndex &streamIndex(std::uint32_t stream) const;
 
     /**
@@ -309,7 +352,8 @@ class WaitGraphBuilder
      *        attributed through (the full time axis for roots); the
      *        node's cost and its own child window are clipped to it.
      */
-    std::uint32_t expand(WaitGraph &graph, const StreamIndex &sindex,
+    std::uint32_t expand(WaitGraph::Body &graph,
+                         const StreamIndex &sindex,
                          std::uint32_t stream_id,
                          const EventColumns &columns,
                          std::uint32_t index, std::uint32_t depth,

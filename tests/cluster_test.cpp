@@ -647,8 +647,10 @@ TEST_F(ClusterTest, OneTraceIdSpansCoordinatorAndWorkers)
         << response.value().error.message;
 
     // Spans commit when their scopes close (after the responses are
-    // sent), so poll. Every daemon runs in this process, so the
-    // process-wide buffer holds all three nodes' spans.
+    // sent), so poll until the worker partials *and* the coordinator's
+    // own request span have committed. Every daemon runs in this
+    // process, so the process-wide buffer holds all three nodes'
+    // spans.
     std::vector<SpanSnapshot> traced;
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(5);
@@ -656,14 +658,20 @@ TEST_F(ClusterTest, OneTraceIdSpansCoordinatorAndWorkers)
     while (std::chrono::steady_clock::now() < deadline) {
         traced.clear();
         partials = 0;
+        bool rootCommitted = false;
         for (SpanSnapshot &span : Telemetry::snapshotSpans())
             if (span.traceId == traceId)
                 traced.push_back(std::move(span));
-        for (const SpanSnapshot &span : traced)
-            for (const auto &[key, value] : span.args)
+        for (const SpanSnapshot &span : traced) {
+            for (const auto &[key, value] : span.args) {
                 if (key == "method" && value == "analyze_partial")
                     ++partials;
-        if (partials >= 2)
+                if (key == "method" && value == "analyze" &&
+                    span.name == "server.request")
+                    rootCommitted = true;
+            }
+        }
+        if (partials >= 2 && rootCommitted)
             break;
         ::usleep(20'000);
     }

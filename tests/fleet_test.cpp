@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -469,6 +470,36 @@ TEST(FleetService, PollIngestsSpoolAndSkipsCorruptShards)
     service.ingest("shard-0100.tlc", pushed, std::nullopt);
     EXPECT_EQ(service.pollOnce(), 0u);
     EXPECT_EQ(service.ingestedShards(), 4u);
+}
+
+TEST(FleetService, PollBetweenPushLandingAndIngestDoesNotDoubleIngest)
+{
+    // ingest_push lands the shard in the spool, then ingests it. A
+    // watcher poll in that gap used to ingest it a second time,
+    // stamped with the wall clock. Force a poll into the gap.
+    ScratchDir scratch("push-gap");
+    FleetConfig config;
+    config.dir = scratch.str();
+    config.windowMs = 60000;
+    FleetService service(config);
+
+    const TraceCorpus pushed = generateCorpus(fleetSpec(49));
+    std::ostringstream bytes;
+    writeCorpus(pushed, bytes);
+    ASSERT_FALSE(
+        service.landPushedShard("shard-0200.tlc", bytes.str()).has_value());
+    ASSERT_TRUE(fs::exists(scratch.file("shard-0200.tlc")));
+
+    EXPECT_EQ(service.pollOnce(), 0u);
+    const IngestOutcome outcome =
+        service.ingest("shard-0200.tlc", pushed, 1'000'000);
+    EXPECT_EQ(service.pollOnce(), 0u);
+
+    EXPECT_EQ(service.ingestedShards(), 1u);
+    const JsonValue status = service.status();
+    EXPECT_EQ(status.find("retained_shards")->asNumber(), 1.0);
+    EXPECT_EQ(status.find("window_list")->asArray().size(), 1u);
+    EXPECT_EQ(outcome.window, 1'000'000ull * 1000 * 1000 / kWindowNs);
 }
 
 TEST(Fleet, RevisionIsAdvertised)

@@ -386,6 +386,56 @@ TEST(ObsSpanContext, ScopeInstallsContextAndSpansInheritIt)
     Telemetry::reset();
 }
 
+TEST(ObsSpanContext, InstalledContextShadowsEnclosingLocalSpans)
+{
+    // A daemon request thread lives inside a long-lived local span (a
+    // pool worker span opened before the request arrived). The
+    // request's propagated context must still parent the request's
+    // spans, or cross-node edges point at the worker span instead.
+    Telemetry::setEnabled(true);
+    Telemetry::reset();
+    std::uint64_t workerId = 0;
+    std::uint64_t requestId = 0;
+    std::uint64_t innerId = 0;
+    {
+        Span worker("pool.worker", "pool");
+        ASSERT_TRUE(worker.active());
+        workerId = worker.id();
+        {
+            SpanContext incoming;
+            incoming.traceId = 0x1234;
+            incoming.parentSpanId = 0xbeef;
+            TraceContextScope scope(incoming);
+            EXPECT_EQ(Telemetry::currentContext().parentSpanId, 0xbeefu);
+            Span request("server.request", "server");
+            requestId = request.id();
+            {
+                Span inner("analyzer.scenario", "analysis");
+                innerId = inner.id();
+                EXPECT_EQ(Telemetry::currentContext().parentSpanId,
+                          innerId);
+            }
+        }
+        // Out of the scope, the worker span is the parent again.
+        EXPECT_EQ(Telemetry::currentContext().parentSpanId, workerId);
+    }
+
+    const std::vector<SpanSnapshot> spans = Telemetry::snapshotSpans();
+    ASSERT_EQ(spans.size(), 3u);
+    for (const SpanSnapshot &span : spans) {
+        if (span.name == "server.request") {
+            EXPECT_EQ(span.parentSpanId, 0xbeefu);
+            EXPECT_EQ(span.traceId, 0x1234u);
+        } else if (span.name == "analyzer.scenario") {
+            EXPECT_EQ(span.parentSpanId, requestId);
+        } else {
+            EXPECT_EQ(span.spanId, workerId);
+        }
+    }
+    Telemetry::setEnabled(false);
+    Telemetry::reset();
+}
+
 TEST(ObsSpanContext, NewTraceIdsAreNonZeroAndDistinct)
 {
     const std::uint64_t a = Telemetry::newTraceId();

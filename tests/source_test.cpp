@@ -14,6 +14,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -460,6 +461,73 @@ TEST(Source, BorrowingEagerSourceIsTheCorpusCompatibilityPath)
     EagerSource again(corpus);
     Analyzer other(again);
     EXPECT_EQ(current.impactAll().dWait, other.impactAll().dWait);
+}
+
+TEST(Source, ConcurrentShardCallsCountEachShardOnce)
+{
+    const ScratchDir dir("concurrent");
+    const std::string sharded = dir.file("sharded");
+    const auto paths =
+        writeShardedCorpusDir(generateCorpus(smallSpec()), sharded, 4);
+    ASSERT_EQ(paths.size(), 4u);
+
+    SourceOptions eager_opts, mmap_opts;
+    mmap_opts.useMmap = true;
+    for (const SourceOptions &opts : {eager_opts, mmap_opts}) {
+        auto opened = openSource(sharded, opts);
+        ASSERT_TRUE(opened.ok());
+        TraceSource &source = *opened.value();
+
+        // One thread per shard, all at once, twice over.
+        for (int round = 0; round < 2; ++round) {
+            std::vector<CorpusPtr> got(paths.size());
+            std::vector<std::thread> threads;
+            for (std::size_t i = 0; i < paths.size(); ++i) {
+                threads.emplace_back([&, i] {
+                    if (Expected<CorpusPtr> shard = source.shard(i))
+                        got[i] = shard.value();
+                });
+            }
+            for (std::thread &t : threads)
+                t.join();
+            for (std::size_t i = 0; i < paths.size(); ++i)
+                EXPECT_NE(got[i], nullptr) << "shard " << i;
+        }
+
+        const IngestStats &stats = source.stats();
+        EXPECT_EQ(stats.loadedShards, paths.size());
+        EXPECT_EQ(stats.skippedShards, 0u);
+        EXPECT_TRUE(stats.errors.empty());
+        if (opts.useMmap) {
+            EXPECT_EQ(stats.cacheMisses, paths.size());
+            EXPECT_EQ(stats.cacheHits, paths.size());
+        }
+    }
+}
+
+TEST(Source, ErrorsStayInShardOrderWhateverOrderShardsFail)
+{
+    const ScratchDir dir("error-order");
+    const std::string sharded = dir.file("sharded");
+    const auto paths =
+        writeShardedCorpusDir(generateCorpus(smallSpec()), sharded, 4);
+    ASSERT_EQ(paths.size(), 4u);
+    for (std::size_t bad : {1u, 2u}) {
+        std::ofstream out(paths[bad], std::ios::binary | std::ios::trunc);
+        out << "TLC1 this is not a corpus";
+    }
+
+    auto opened = openSource(sharded);
+    ASSERT_TRUE(opened.ok());
+    TraceSource &source = *opened.value();
+    // Fail the later shard first: the record still lists shard 1
+    // before shard 2, as a serial in-order ingest would.
+    EXPECT_FALSE(source.shard(2).ok());
+    EXPECT_FALSE(source.shard(1).ok());
+    const IngestStats &stats = source.stats();
+    ASSERT_EQ(stats.errors.size(), 2u);
+    EXPECT_NE(stats.errors[0].file.find("shard-0001"), std::string::npos);
+    EXPECT_NE(stats.errors[1].file.find("shard-0002"), std::string::npos);
 }
 
 } // namespace
