@@ -421,8 +421,16 @@ ScenarioPartial::remapFrames(SymbolTable &symbols)
 {
     std::vector<FrameId> remap;
     remap.reserve(frames.size());
-    for (const std::string &name : frames)
-        remap.push_back(symbols.internFrame(name));
+    bool identity = true;
+    for (const std::string &name : frames) {
+        const FrameId id = symbols.internFrame(name);
+        identity = identity && id == remap.size();
+        remap.push_back(id);
+    }
+    // The first shard into an empty table maps onto itself: the keys
+    // (and so the fragments' lookups) are already global.
+    if (identity)
+        return;
     awgFast.remapFrames(remap);
     awgSlow.remapFrames(remap);
 }
@@ -433,6 +441,72 @@ ImpactPartial::rebaseStreams(std::uint32_t base)
     all.rebaseStreams(base);
     for (auto &[name, partial] : perScenario)
         partial.rebaseStreams(base);
+}
+
+// ------------------------------------------------------- the shard fold
+
+void
+ScenarioFold::add(ScenarioPartial partial)
+{
+    partial.remapFrames(symbols_);
+    partial.slowImpact.rebaseStreams(streams_);
+    streams_ += partial.streamCount;
+    classes_.merge(partial.classes);
+    if (shards_++ == 0) {
+        slowImpact_ = std::move(partial.slowImpact);
+        awgFast_ = std::move(partial.awgFast);
+        awgSlow_ = std::move(partial.awgSlow);
+        return;
+    }
+    slowImpact_.merge(partial.slowImpact);
+    awgFast_.merge(partial.awgFast);
+    awgSlow_.merge(partial.awgSlow);
+}
+
+FoldedScenario
+ScenarioFold::finalize() &&
+{
+    FoldedScenario out;
+    out.symbols = std::move(symbols_);
+    out.classes = classes_;
+    out.slowImpact = slowImpact_.finalize();
+    out.awgFast = awgFast_.finalize(true);
+    out.awgSlow = awgSlow_.finalize(true);
+    return out;
+}
+
+void
+ImpactFold::add(ImpactPartial partial)
+{
+    partial.rebaseStreams(streams_);
+    streams_ += partial.streamCount;
+    if (shards_++ == 0) {
+        all_ = std::move(partial.all);
+        perScenario_ = std::move(partial.perScenario);
+        return;
+    }
+    all_.merge(partial.all);
+    for (auto &[name, accumulator] : partial.perScenario) {
+        auto it = std::find_if(
+            perScenario_.begin(), perScenario_.end(),
+            [&, &scenario = name](const auto &entry) {
+                return entry.first == scenario;
+            });
+        if (it == perScenario_.end())
+            perScenario_.emplace_back(name, std::move(accumulator));
+        else
+            it->second.merge(accumulator);
+    }
+}
+
+FoldedImpact
+ImpactFold::finalize() const
+{
+    FoldedImpact out;
+    out.all = all_.finalize();
+    for (const auto &[name, accumulator] : perScenario_)
+        out.perScenario.emplace_back(name, accumulator.finalize());
+    return out;
 }
 
 namespace

@@ -279,6 +279,69 @@ struct ImpactPartial
     void rebaseStreams(std::uint32_t base);
 };
 
+// ------------------------------------------------------- the shard fold
+
+/** A finalized ScenarioFold: what `analyze` and `mine` render. */
+struct FoldedScenario
+{
+    SymbolTable symbols; //!< Merged table the AWG keys index into.
+    PartialClasses classes;
+    ImpactResult slowImpact;
+    AggregatedWaitGraph awgFast; //!< Reduced, exactly once.
+    AggregatedWaitGraph awgSlow;
+};
+
+/**
+ * The one shard-order fold of scenario partials, shared by the
+ * single-node daemon (its one in-process partial), the coordinator
+ * (its workers' partials) and fleet windows (cached partials). add()
+ * must see partials in global shard order: it interns each shard's
+ * frames (reproducing single-node FrameId assignment) and rebases its
+ * stream ids past the earlier shards', so the finalized result is
+ * byte-identical to one sequential pass. The first partial into an
+ * empty fold is adopted by move, not replayed: interning one shard's
+ * distinct frames into an empty table is the identity remap.
+ */
+class ScenarioFold
+{
+  public:
+    void add(ScenarioPartial partial);
+    /** Finalize impact and reduce the AWGs; consumes the fold. */
+    FoldedScenario finalize() &&;
+
+  private:
+    SymbolTable symbols_;
+    PartialClasses classes_;
+    PartialImpact slowImpact_;
+    PartialAwg awgFast_;
+    PartialAwg awgSlow_;
+    std::uint32_t streams_ = 0;
+    std::size_t shards_ = 0;
+};
+
+/** A finalized ImpactFold: what `impact` renders. */
+struct FoldedImpact
+{
+    ImpactResult all;
+    /** First-seen shard order (rendering sorts by name). */
+    std::vector<std::pair<std::string, ImpactResult>> perScenario;
+};
+
+/** The shard-order fold of impact partials (ScenarioFold's callers
+ *  and rules; per-scenario accumulators merge by name). */
+class ImpactFold
+{
+  public:
+    void add(ImpactPartial partial);
+    FoldedImpact finalize() const;
+
+  private:
+    PartialImpact all_;
+    std::vector<std::pair<std::string, PartialImpact>> perScenario_;
+    std::uint32_t streams_ = 0;
+    std::size_t shards_ = 0;
+};
+
 /** Encode with the TLP1 envelope (magic, revision, payload). */
 std::string encodeScenarioPartial(const ScenarioPartial &partial);
 std::string encodeImpactPartial(const ImpactPartial &partial);

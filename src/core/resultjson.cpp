@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared finalize-and-render path for merged scenario results (see
+ * The finalize-and-render path for folded partial results (see
  * src/core/resultjson.h for the byte-identity contract).
  */
 
@@ -43,10 +43,20 @@ patternJson(const ContrastPattern &pattern, DurationNs tSlow,
     return out;
 }
 
-MiningResult
-mineGathered(const AggregatedWaitGraph &fast,
+namespace
+{
+
+/**
+ * Mine two finalized AWGs exactly as a single-node analyzer would
+ * (AnalyzerConfig mining defaults; the miner reads only the AWGs) and
+ * compute RQ1 coverage, whose denominator is the total driver cost as
+ * aggregated: the kept slow graph plus the non-optimizable portion
+ * ReduceAWG removed (Section 5.2.2).
+ */
+ScenarioSummary
+mineScenario(const AggregatedWaitGraph &fast,
              const AggregatedWaitGraph &slow, DurationNs tFast,
-             DurationNs tSlow)
+             DurationNs tSlow, unsigned threads)
 {
     const AnalyzerConfig defaults;
     MiningOptions options;
@@ -55,9 +65,25 @@ mineGathered(const AggregatedWaitGraph &fast,
     options.tSlow = tSlow;
     options.useMetaPatternGate = defaults.useMetaPatternGate;
     const TraceCorpus dummy;
-    ContrastMiner miner(dummy, options);
-    return miner.mine(fast, slow, 1);
+    ScenarioSummary mined;
+    mined.mining = ContrastMiner(dummy, options).mine(fast, slow, threads);
+    mined.coverage = computeCoverage(
+        mined.mining, slow.reducedCost() + slow.totalRootCost(), tSlow);
+    return mined;
 }
+
+JsonValue
+patternList(const std::vector<ContrastPattern> &patterns,
+            std::size_t limit, DurationNs tSlow,
+            const SymbolTable &symbols)
+{
+    JsonValue list = JsonValue::makeArray();
+    for (std::size_t i = 0; i < std::min(limit, patterns.size()); ++i)
+        list.push(patternJson(patterns[i], tSlow, symbols, i + 1));
+    return list;
+}
+
+} // namespace
 
 ScenarioSummary
 summarizeScenario(const std::string &scenario, DurationNs tFast,
@@ -66,13 +92,10 @@ summarizeScenario(const std::string &scenario, DurationNs tFast,
                   const AggregatedWaitGraph &awgFast,
                   const AggregatedWaitGraph &awgSlow,
                   const SymbolTable &symbols, std::size_t top,
-                  bool applyKnowledgeFilter)
+                  bool applyKnowledgeFilter, unsigned threads)
 {
-    ScenarioSummary summary;
-    summary.mining = mineGathered(awgFast, awgSlow, tFast, tSlow);
-    summary.coverage = computeCoverage(
-        summary.mining,
-        awgSlow.reducedCost() + awgSlow.totalRootCost(), tSlow);
+    ScenarioSummary summary =
+        mineScenario(awgFast, awgSlow, tFast, tSlow, threads);
 
     std::vector<ContrastPattern> patterns = summary.mining.patterns;
     std::size_t suppressed = 0;
@@ -104,12 +127,44 @@ summarizeScenario(const std::string &scenario, DurationNs tFast,
     result.set("mining_stats",
                JsonValue(summary.mining.stats.render()));
     result.set("suppressed", JsonValue(suppressed));
-    JsonValue list = JsonValue::makeArray();
-    for (std::size_t i = 0; i < std::min(top, patterns.size()); ++i)
-        list.push(patternJson(patterns[i], tSlow, symbols, i + 1));
-    result.set("patterns", std::move(list));
+    result.set("patterns", patternList(patterns, top, tSlow, symbols));
     summary.json = std::move(result);
     return summary;
+}
+
+JsonValue
+mineResultJson(const std::string &scenario, DurationNs tFast,
+               DurationNs tSlow, const FoldedScenario &folded,
+               std::size_t maxPatterns, unsigned threads)
+{
+    const ScenarioSummary mined = mineScenario(
+        folded.awgFast, folded.awgSlow, tFast, tSlow, threads);
+    const std::vector<ContrastPattern> &patterns = mined.mining.patterns;
+    JsonValue result = JsonValue::makeObject();
+    result.set("scenario", JsonValue(scenario));
+    result.set("mining_stats", JsonValue(mined.mining.stats.render()));
+    result.set("coverage", JsonValue(mined.coverage.render()));
+    result.set("patterns",
+               patternList(patterns, maxPatterns, tSlow, folded.symbols));
+    result.set("total_patterns", JsonValue(patterns.size()));
+    return result;
+}
+
+JsonValue
+impactResultJson(const std::vector<std::string> &components,
+                 const FoldedImpact &impact)
+{
+    JsonValue result = JsonValue::makeObject();
+    JsonValue componentsJson = JsonValue::makeArray();
+    for (const std::string &glob : components)
+        componentsJson.push(JsonValue(glob));
+    result.set("components", std::move(componentsJson));
+    result.set("all", impactJson(impact.all));
+    JsonValue perScenario = JsonValue::makeObject();
+    for (const auto &[name, scenarioImpact] : impact.perScenario)
+        perScenario.set(name, impactJson(scenarioImpact));
+    result.set("per_scenario", std::move(perScenario));
+    return result;
 }
 
 } // namespace tracelens

@@ -1,15 +1,17 @@
 /**
  * @file
- * Shared JSON renderers for merged scenario results.
+ * The one finalize-and-render path for folded partial results.
  *
- * The server's `analyze`/`coord-analyze` handlers and the fleet
- * layer's rolling-window summaries (src/fleet/windows.h) must emit
- * *byte-identical* JSON for the same underlying shards — that is the
- * acceptance contract tested by tests/fleet_test.cpp and
- * scripts/smoke_fleet.sh. Rather than keeping two renderers in sync
- * by convention, the finalize-and-render path lives here once:
- * impact/pattern JSON shapes, the gathered-AWG miner, and the full
- * scenario-summary object built from merged Partial* state.
+ * Every `analyze`, `mine` and `impact` answer is a ScenarioFold or
+ * ImpactFold (src/core/partial.h) finalized and rendered here — on a
+ * single-node daemon (one in-process shard set), on a coordinator
+ * (the workers' shard partials) and in fleet rolling windows (cached
+ * per-shard partials). The result objects are built nowhere else, so
+ * the three paths are byte-identical for the same shards by
+ * construction; tests/server_test.cpp checks the renders against an
+ * independent reference built from Analyzer::analyzeScenario, and
+ * tests/cluster_test.cpp and tests/fleet_test.cpp check the paths
+ * against each other.
  */
 
 #ifndef TRACELENS_CORE_RESULTJSON_H
@@ -17,6 +19,7 @@
 
 #include <cstddef>
 #include <string>
+#include <vector>
 
 #include "src/awg/awg.h"
 #include "src/core/partial.h"
@@ -38,15 +41,6 @@ JsonValue patternJson(const ContrastPattern &pattern, DurationNs tSlow,
                       const SymbolTable &symbols, std::size_t rank);
 
 /**
- * Mine two merged AWGs exactly as a single-node analyzer would
- * (AnalyzerConfig mining defaults; thread count never changes the
- * ranked result). The miner only reads the AWGs, not the corpus.
- */
-MiningResult mineGathered(const AggregatedWaitGraph &fast,
-                          const AggregatedWaitGraph &slow,
-                          DurationNs tFast, DurationNs tSlow);
-
-/**
  * A scenario summary finalized from merged partial state: the mined
  * patterns plus the rendered JSON object — the exact shape `analyze`
  * returns, so callers can byte-compare across batch, coordinator,
@@ -62,10 +56,12 @@ struct ScenarioSummary
 
 /**
  * Finalize merged scenario partials into the canonical summary JSON:
- * mine the AWGs, compute coverage, apply the knowledge filter when
- * requested, and emit the result object with keys in `analyze` order
- * (scenario, tfast_ms, tslow_ms, classes, slow_impact,
- * driver_cost_share, coverage, mining_stats, suppressed, patterns).
+ * mine the AWGs exactly as a single-node analyzer would (AnalyzerConfig
+ * mining defaults; @p threads never changes the ranked result),
+ * compute coverage, apply the knowledge filter when requested, and
+ * emit the `analyze` result object (scenario, tfast_ms, tslow_ms,
+ * classes, slow_impact, driver_cost_share, coverage, mining_stats,
+ * suppressed, patterns).
  *
  * @p awgFast / @p awgSlow must already be finalized *reduced* graphs;
  * @p slowImpact must already be finalized. @p symbols is the merged
@@ -78,7 +74,23 @@ summarizeScenario(const std::string &scenario, DurationNs tFast,
                   const AggregatedWaitGraph &awgFast,
                   const AggregatedWaitGraph &awgSlow,
                   const SymbolTable &symbols, std::size_t top,
-                  bool applyKnowledgeFilter);
+                  bool applyKnowledgeFilter, unsigned threads = 1);
+
+/**
+ * The `mine` result object (scenario, mining_stats, coverage, the
+ * first @p maxPatterns ranked patterns unfiltered, total_patterns),
+ * mined from a finalized scenario fold.
+ */
+JsonValue mineResultJson(const std::string &scenario, DurationNs tFast,
+                         DurationNs tSlow, const FoldedScenario &folded,
+                         std::size_t maxPatterns, unsigned threads);
+
+/**
+ * The `impact` result object: the resolved component globs, the
+ * corpus-wide metrics, and per-scenario metrics keyed by name.
+ */
+JsonValue impactResultJson(const std::vector<std::string> &components,
+                           const FoldedImpact &impact);
 
 } // namespace tracelens
 

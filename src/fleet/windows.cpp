@@ -190,33 +190,20 @@ WindowedAnalyzer::summarize(const std::vector<std::uint64_t> &windowIds,
               });
     out.shards = selected.size();
 
-    // The coordinator's gather fold (Coordinator::gatherScenario),
-    // run locally over cached partials.
-    PartialClasses classes;
-    PartialImpact slowImpact;
-    PartialAwg awgFast;
-    PartialAwg awgSlow;
-    std::uint32_t streams = 0;
+    // The shard fold the daemon and the coordinator answer through,
+    // over this layer's cached partials.
+    ScenarioFold fold;
     for (const ShardEntry *entry : selected) {
-        ScenarioPartial partial =
-            shardPartial(*entry, scenario, tFast, tSlow);
         if (entry->corpus.findScenario(scenario) != UINT32_MAX)
             out.scenarioFound = true;
-        partial.remapFrames(out.symbols);
-        classes.merge(partial.classes);
-        partial.slowImpact.rebaseStreams(streams);
-        slowImpact.merge(partial.slowImpact);
-        awgFast.merge(partial.awgFast);
-        awgSlow.merge(partial.awgSlow);
-        streams += partial.streamCount;
+        fold.add(shardPartial(*entry, scenario, tFast, tSlow));
     }
-
-    const ImpactResult impact = slowImpact.finalize();
-    const AggregatedWaitGraph fast = std::move(awgFast).finalize(true);
-    const AggregatedWaitGraph slow = std::move(awgSlow).finalize(true);
-    out.summary = summarizeScenario(scenario, tFast, tSlow, classes,
-                                    impact, fast, slow, out.symbols,
-                                    top, applyKnowledgeFilter);
+    FoldedScenario folded = std::move(fold).finalize();
+    out.summary = summarizeScenario(
+        scenario, tFast, tSlow, folded.classes, folded.slowImpact,
+        folded.awgFast, folded.awgSlow, folded.symbols, top,
+        applyKnowledgeFilter, config_.analyzer.threads);
+    out.symbols = std::move(folded.symbols);
     return out;
 }
 

@@ -610,7 +610,6 @@ Coordinator::gatherScenario(
         return error;
 
     // Fold in global shard order — the byte-identity contract.
-    std::uint32_t streams = 0;
     for (std::size_t i = 0; i < results.size(); ++i) {
         if (!results[i])
             continue;
@@ -622,25 +621,11 @@ Coordinator::gatherScenario(
             decodeScenarioPartial(bytes);
         if (!decoded)
             return decodeError(decoded.error());
-        ScenarioPartial partial = std::move(decoded.value());
         if (const JsonValue *found =
                 results[i]->find("scenario_found");
             found != nullptr && found->isBool() && found->asBool())
             out.scenarioFound = true;
-
-        partial.remapFrames(out.symbols);
-        out.classes.merge(partial.classes);
-        partial.slowImpact.rebaseStreams(streams);
-        out.slowImpact.merge(partial.slowImpact);
-        out.awgFast.merge(partial.awgFast);
-        out.awgSlow.merge(partial.awgSlow);
-        streams += partial.streamCount;
-    }
-
-    if (!out.scenarioFound && !out.report.degraded()) {
-        return GatherError{ErrorCode::NotFound,
-                           "scenario \"" + scenario +
-                               "\" not present in corpus"};
+        out.fold.add(std::move(decoded.value()));
     }
     return std::nullopt;
 }
@@ -678,7 +663,6 @@ Coordinator::gatherImpact(
                                  out.report))
         return error;
 
-    std::uint32_t streams = 0;
     for (std::size_t i = 0; i < results.size(); ++i) {
         if (!results[i])
             continue;
@@ -689,22 +673,7 @@ Coordinator::gatherImpact(
         Expected<ImpactPartial> decoded = decodeImpactPartial(bytes);
         if (!decoded)
             return decodeError(decoded.error());
-        ImpactPartial partial = std::move(decoded.value());
-
-        partial.rebaseStreams(streams);
-        streams += partial.streamCount;
-        out.all.merge(partial.all);
-        for (auto &[name, acc] : partial.perScenario) {
-            auto it = std::find_if(
-                out.perScenario.begin(), out.perScenario.end(),
-                [&, &scenarioName = name](const auto &entry) {
-                    return entry.first == scenarioName;
-                });
-            if (it == out.perScenario.end())
-                out.perScenario.emplace_back(name, std::move(acc));
-            else
-                it->second.merge(acc);
-        }
+        out.fold.add(std::move(decoded.value()));
     }
     return std::nullopt;
 }

@@ -46,7 +46,6 @@
 #include "src/core/partial.h"
 #include "src/server/client.h"
 #include "src/server/protocol.h"
-#include "src/trace/symbols.h"
 #include "src/util/expected.h"
 #include "src/util/json.h"
 
@@ -133,25 +132,18 @@ struct GatherError
     std::string message;
 };
 
-/** Merged scenario gather (the analyze/mine coordinator state). */
+/** A scenario gather: the shard fold behind analyze/mine. */
 struct ScenarioGather
 {
-    SymbolTable symbols; //!< Global frame table, shard-order interned.
-    PartialClasses classes;
-    PartialImpact slowImpact;
-    PartialAwg awgFast;
-    PartialAwg awgSlow;
-    bool scenarioFound = false;
+    ScenarioFold fold;
+    bool scenarioFound = false; //!< Some shard holds the scenario.
     GatherReport report;
 };
 
-/** Merged corpus-wide impact gather. */
+/** A corpus-wide impact gather. */
 struct ImpactGather
 {
-    PartialImpact all;
-    /** Per-scenario accumulators in first-seen shard order; render
-     *  order comes from the JSON object's key sort. */
-    std::vector<std::pair<std::string, PartialImpact>> perScenario;
+    ImpactFold fold;
     GatherReport report;
 };
 
@@ -183,10 +175,11 @@ class Coordinator
     /**
      * Scatter one scenario-partial request per shard (@p method is
      * Method::AnalyzePartial or Method::MinePartial — same payload,
-     * same worker handler) and merge the partials in shard order.
+     * same worker handler) and fold the partials in shard order.
      * Returns an error only for query-level failures (bad corpus,
-     * revision mismatch, deadline, scenario absent everywhere);
-     * per-shard worker failures degrade into @c out.report instead.
+     * revision mismatch, deadline); per-shard worker failures degrade
+     * into @c out.report instead, and a scenario absent from every
+     * answered shard leaves @c out.scenarioFound false.
      */
     std::optional<GatherError>
     gatherScenario(Method method, const std::string &corpusPath,
@@ -197,7 +190,7 @@ class Coordinator
                        std::chrono::steady_clock::time_point> &deadline,
                    ScenarioGather &out);
 
-    /** Scatter `impact_partial` and merge (same contract). */
+    /** Scatter `impact_partial` and fold (same contract). */
     std::optional<GatherError>
     gatherImpact(const std::string &corpusPath,
                  const std::vector<std::string> &components,

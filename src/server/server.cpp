@@ -1,9 +1,12 @@
 /**
  * @file
  * The analysis-service daemon (src/server/server.h): POSIX TCP
- * plumbing, the bounded request queue, worker dispatch on the
- * work-stealing pool, cooperative deadlines, and the method handlers
- * that answer from the session registry's warm state.
+ * plumbing, the bounded request queue, the request threads,
+ * cooperative deadlines, and the method handlers. analyze, mine and
+ * impact have one handler each: a single node folds its warm
+ * session's partial as a coordinator with one in-process worker, a
+ * coordinator folds its workers' partials, and both finalize and
+ * render through src/core/resultjson.
  */
 
 #include "src/server/server.h"
@@ -28,14 +31,12 @@
 #include "src/core/partial.h"
 #include "src/core/resultjson.h"
 #include "src/fleet/fleet.h"
-#include "src/mining/coverage.h"
-#include "src/mining/knowledge.h"
-#include "src/mining/miner.h"
 #include "src/server/coordinator.h"
 #include "src/trace/selftrace.h"
 #include "src/trace/serialize.h"
 #include "src/trace/source.h"
 #include "src/util/logging.h"
+#include "src/util/parallel.h"
 #include "src/util/telemetry.h"
 #include "src/workload/scenarios.h"
 
@@ -416,14 +417,12 @@ Server::start()
                endpoint.value().first, ":", metricsPort_);
     }
 
-    pool_ = std::make_unique<ThreadPool>(workerCount_);
-    poolDriver_ = std::thread([this] {
-        // Every pool worker claims exactly one index and parks in the
-        // drain loop, so the request queue is serviced by the
-        // work-stealing pool itself.
-        pool_->parallelFor(0, workerCount_,
-                           [this](std::size_t) { workerLoop(); });
-    });
+    // Plain request threads: a request worker loops until drain, so
+    // it runs under no span but its own requests' (a data-parallel
+    // pool would wrap it in a pool.worker span forever).
+    workers_.reserve(workerCount_);
+    for (unsigned i = 0; i < workerCount_; ++i)
+        workers_.emplace_back([this] { workerLoop(); });
     acceptThread_ = std::thread([this] { acceptLoop(); });
 
     TL_LOG(Info, "serve: listening on ", config_.host, ":", port_,
@@ -1107,8 +1106,8 @@ Server::workerLoop()
             process(std::move(request));
         } catch (const std::exception &e) {
             // process() answers handler errors itself; anything that
-            // escapes is a server bug we log rather than propagate
-            // into the pool (which would rethrow on the driver).
+            // escapes is a server bug we log rather than let it
+            // terminate the process from this thread.
             TL_LOG(Error, "serve: unhandled handler exception: ",
                    e.what());
         }
@@ -1148,14 +1147,11 @@ Server::process(QueuedRequest request)
         JsonValue result;
         const std::string &method = request.request.method;
         if (method == "analyze") {
-            result = config_.coordinator ? handleCoordAnalyze(request)
-                                         : handleAnalyze(request);
+            result = handleAnalyze(request);
         } else if (method == "impact") {
-            result = config_.coordinator ? handleCoordImpact(request)
-                                         : handleImpact(request);
+            result = handleImpact(request);
         } else if (method == "mine") {
-            result = config_.coordinator ? handleCoordMine(request)
-                                         : handleMine(request);
+            result = handleMine(request);
         } else if (method == "ingest") {
             if (config_.coordinator) {
                 failRequest(ErrorCode::BadRequest,
@@ -1404,25 +1400,110 @@ checkDeadline(const std::optional<Clock::time_point> &deadline)
                     "deadline elapsed during processing");
 }
 
+/** An integral param in [@p lo, @p hi], @p fallback when absent. */
+std::size_t
+boundedParamOr(const JsonValue &params, std::string_view key,
+               int fallback, int lo, int hi)
+{
+    const double raw = numberParamOr(params, key, fallback);
+    if (raw < lo || raw > hi)
+        failRequest(ErrorCode::BadRequest,
+                    "param \"" + std::string(key) + "\" must be in [" +
+                        std::to_string(lo) + ", " + std::to_string(hi) +
+                        "]");
+    return static_cast<std::size_t>(raw);
+}
+
+/** The params `analyze` and `mine` share. */
+struct ScenarioQuery
+{
+    std::string corpus;
+    std::string scenario;
+    DurationNs tFast = 0;
+    DurationNs tSlow = 0;
+
+    explicit ScenarioQuery(const JsonValue &params)
+        : corpus(stringParam(params, "corpus")),
+          scenario(stringParam(params, "scenario"))
+    {
+        resolveThresholds(params, scenario, tFast, tSlow);
+    }
+
+    /** Response-cache key prefix for @p method over this query. */
+    Digest
+    key(std::string_view method) const
+    {
+        Digest key;
+        key.mix(method)
+            .mix(scenario)
+            .mix(static_cast<std::uint64_t>(tFast))
+            .mix(static_cast<std::uint64_t>(tSlow));
+        return key;
+    }
+};
+
+/**
+ * Fold @p query's scenario partials: from @p session's analyzer when
+ * this node answers alone (its one in-process worker), else scattered
+ * by @p coordinator to the workers as @p method requests.
+ */
+ScenarioGather
+gatherScenario(Coordinator *coordinator, const CorpusSession *session,
+               const std::optional<Clock::time_point> &deadline,
+               Method method, const ScenarioQuery &query,
+               const std::vector<std::string> &components)
+{
+    ScenarioGather gather;
+    if (session != nullptr) {
+        const Analyzer &analyzer = session->analyzer();
+        gather.scenarioFound =
+            analyzer.corpus().findScenario(query.scenario) !=
+            UINT32_MAX;
+        gather.fold.add(analyzer.scenarioPartial(
+            query.scenario, query.tFast, query.tSlow));
+    } else if (auto error = coordinator->gatherScenario(
+                   method, query.corpus, query.scenario,
+                   toMs(query.tFast), toMs(query.tSlow), components,
+                   deadline, gather)) {
+        failRequest(error->code, error->message);
+    }
+    checkDeadline(deadline);
+    if (!gather.scenarioFound && !gather.report.degraded())
+        failRequest(ErrorCode::NotFound,
+                    "scenario \"" + query.scenario +
+                        "\" not present in corpus");
+    return gather;
+}
+
+/** Degradation markers — ABSENT on a full result, so a non-degraded
+ *  coordinator response stays byte-identical to single-node. */
+void
+attachGatherReport(JsonValue &result, const GatherReport &report)
+{
+    if (!report.degraded())
+        return;
+    result.set("partial_results", JsonValue(true));
+    JsonValue missing = JsonValue::makeArray();
+    for (const ShardFailure &failure : report.missing) {
+        JsonValue entry = JsonValue::makeObject();
+        entry.set("shard", JsonValue(failure.shard));
+        entry.set("worker", JsonValue(failure.worker));
+        entry.set("reason", JsonValue(failure.reason));
+        missing.push(std::move(entry));
+    }
+    result.set("missing_shards", std::move(missing));
+}
+
 } // namespace
 
 JsonValue
-Server::handleAnalyze(const QueuedRequest &request)
+Server::answerQuery(
+    const QueuedRequest &request, const std::string &corpusPath,
+    const std::vector<std::string> &components, Digest key,
+    const std::function<JsonValue(const CorpusSession *)> &answer)
 {
-    const JsonValue &params = request.request.params;
-    const std::string corpusPath = stringParam(params, "corpus");
-    const std::string scenario = stringParam(params, "scenario");
-    DurationNs tFast = 0, tSlow = 0;
-    resolveThresholds(params, scenario, tFast, tSlow);
-    const double topRaw = numberParamOr(params, "top", 5.0);
-    if (topRaw < 0 || topRaw > 10000)
-        failRequest(ErrorCode::BadRequest,
-                    "param \"top\" must be in [0, 10000]");
-    const std::size_t top = static_cast<std::size_t>(topRaw);
-    const bool applyFilter =
-        boolParamOr(params, "knowledge_filter", true);
-    const std::vector<std::string> components =
-        stringListParam(params, "components");
+    if (coordinator_)
+        return answer(nullptr);
 
     Expected<SessionRegistry::Handle> session =
         registry_.acquire(corpusPath, components);
@@ -1431,69 +1512,80 @@ Server::handleAnalyze(const QueuedRequest &request)
     checkDeadline(request.deadline);
 
     // Shared-side analysis lock: excludes ingest_push's absorbShard
-    // while this handler reads the warm analyzer and its digest.
+    // while the query reads the warm analyzer and its digest.
     const std::shared_lock<std::shared_mutex> analysisLock =
         session.value()->analysisLock();
 
-    Digest cacheKey;
-    cacheKey.mix("analyze").mix(session.value()->corpusDigest());
-    cacheKey.mix(scenario)
-        .mix(static_cast<std::uint64_t>(tFast))
-        .mix(static_cast<std::uint64_t>(tSlow))
-        .mix(static_cast<std::uint64_t>(top))
-        .mix(static_cast<std::uint64_t>(applyFilter));
-    if (auto cached = session.value()->cachedResponse(cacheKey)) {
+    key.mix(session.value()->corpusDigest());
+    if (auto cached = session.value()->cachedResponse(key)) {
         TL_SPAN("server.response-cache-hit", "server");
-        return std::move(
-            JsonValue::parse(*cached).value()); // cached render
+        return std::move(JsonValue::parse(*cached).value());
     }
-
-    Analyzer &analyzer = session.value()->analyzer();
-    const TraceCorpus &corpus = analyzer.corpus();
-    if (corpus.findScenario(scenario) == UINT32_MAX)
-        failRequest(ErrorCode::NotFound,
-                    "scenario \"" + scenario +
-                        "\" not present in corpus");
-    const ScenarioAnalysis analysis =
-        analyzer.analyzeScenario(scenario, tFast, tSlow);
-    checkDeadline(request.deadline);
-
-    std::vector<ContrastPattern> patterns = analysis.mining.patterns;
-    std::size_t suppressed = 0;
-    if (applyFilter) {
-        const auto filtered = KnowledgeBase::defaults().apply(
-            analysis.mining, corpus.symbols());
-        suppressed = filtered.suppressed.size();
-        patterns = filtered.kept;
-    }
-
-    JsonValue result = JsonValue::makeObject();
-    result.set("scenario", JsonValue(scenario));
-    result.set("tfast_ms", JsonValue(toMs(tFast)));
-    result.set("tslow_ms", JsonValue(toMs(tSlow)));
-    JsonValue classes = JsonValue::makeObject();
-    classes.set("fast", JsonValue(analysis.classes.fast.size()));
-    classes.set("middle", JsonValue(analysis.classes.middle.size()));
-    classes.set("slow", JsonValue(analysis.classes.slow.size()));
-    result.set("classes", std::move(classes));
-    result.set("slow_impact", impactJson(analysis.slowImpact));
-    result.set("driver_cost_share",
-               JsonValue(analysis.driverCostShare()));
-    result.set("coverage", JsonValue(analysis.coverage.render()));
-    result.set("mining_stats",
-               JsonValue(analysis.mining.stats.render()));
-    result.set("suppressed", JsonValue(suppressed));
-    JsonValue list = JsonValue::makeArray();
-    for (std::size_t i = 0; i < std::min(top, patterns.size()); ++i) {
-        list.push(patternJson(patterns[i], tSlow, corpus.symbols(),
-                              i + 1));
-    }
-    result.set("patterns", std::move(list));
-
+    JsonValue result = answer(&*session.value());
     session.value()->cacheResponse(
-        cacheKey,
-        std::make_shared<const std::string>(result.render()));
+        key, std::make_shared<const std::string>(result.render()));
     return result;
+}
+
+JsonValue
+Server::handleAnalyze(const QueuedRequest &request)
+{
+    const JsonValue &params = request.request.params;
+    const ScenarioQuery query(params);
+    const std::size_t top = boundedParamOr(params, "top", 5, 0, 10000);
+    const bool applyFilter =
+        boolParamOr(params, "knowledge_filter", true);
+    const std::vector<std::string> components =
+        stringListParam(params, "components");
+
+    Digest key = query.key("analyze");
+    key.mix(static_cast<std::uint64_t>(top))
+        .mix(static_cast<std::uint64_t>(applyFilter));
+    return answerQuery(
+        request, query.corpus, components, key,
+        [&](const CorpusSession *session) {
+            ScenarioGather gather = gatherScenario(
+                coordinator_.get(), session, request.deadline,
+                Method::AnalyzePartial, query, components);
+            const FoldedScenario folded =
+                std::move(gather.fold).finalize();
+            JsonValue result =
+                summarizeScenario(
+                    query.scenario, query.tFast, query.tSlow,
+                    folded.classes, folded.slowImpact, folded.awgFast,
+                    folded.awgSlow, folded.symbols, top, applyFilter,
+                    config_.registry.analysisThreads)
+                    .json;
+            checkDeadline(request.deadline);
+            attachGatherReport(result, gather.report);
+            return result;
+        });
+}
+
+JsonValue
+Server::handleMine(const QueuedRequest &request)
+{
+    const JsonValue &params = request.request.params;
+    const ScenarioQuery query(params);
+    const std::size_t maxPatterns =
+        boundedParamOr(params, "max_patterns", 100, 1, 10000);
+
+    Digest key = query.key("mine");
+    key.mix(static_cast<std::uint64_t>(maxPatterns));
+    return answerQuery(
+        request, query.corpus, {}, key,
+        [&](const CorpusSession *session) {
+            ScenarioGather gather = gatherScenario(
+                coordinator_.get(), session, request.deadline,
+                Method::MinePartial, query, {});
+            JsonValue result = mineResultJson(
+                query.scenario, query.tFast, query.tSlow,
+                std::move(gather.fold).finalize(), maxPatterns,
+                config_.registry.analysisThreads);
+            checkDeadline(request.deadline);
+            attachGatherReport(result, gather.report);
+            return result;
+        });
 }
 
 JsonValue
@@ -1504,116 +1596,28 @@ Server::handleImpact(const QueuedRequest &request)
     const std::vector<std::string> components =
         stringListParam(params, "components");
 
-    Expected<SessionRegistry::Handle> session =
-        registry_.acquire(corpusPath, components);
-    if (!session)
-        failRequest(ErrorCode::NotFound, session.error().render());
-    checkDeadline(request.deadline);
-
-    // Shared-side analysis lock: excludes ingest_push's absorbShard
-    // while this handler reads the warm analyzer and its digest.
-    const std::shared_lock<std::shared_mutex> analysisLock =
-        session.value()->analysisLock();
-
-    Digest cacheKey;
-    cacheKey.mix("impact").mix(session.value()->corpusDigest());
-    if (auto cached = session.value()->cachedResponse(cacheKey)) {
-        TL_SPAN("server.response-cache-hit", "server");
-        return std::move(JsonValue::parse(*cached).value());
-    }
-
-    Analyzer &analyzer = session.value()->analyzer();
-    const TraceCorpus &corpus = analyzer.corpus();
-
-    JsonValue result = JsonValue::makeObject();
-    JsonValue componentsJson = JsonValue::makeArray();
-    for (const std::string &glob :
-         analyzer.components().patterns())
-        componentsJson.push(JsonValue(glob));
-    result.set("components", std::move(componentsJson));
-    result.set("all", impactJson(analyzer.impactAll()));
-    checkDeadline(request.deadline);
-    JsonValue perScenario = JsonValue::makeObject();
-    for (const auto &[scenarioId, impact] :
-         analyzer.impactPerScenario()) {
-        perScenario.set(corpus.scenarioName(scenarioId),
-                        impactJson(impact));
-    }
-    result.set("per_scenario", std::move(perScenario));
-
-    session.value()->cacheResponse(
-        cacheKey,
-        std::make_shared<const std::string>(result.render()));
-    return result;
-}
-
-JsonValue
-Server::handleMine(const QueuedRequest &request)
-{
-    const JsonValue &params = request.request.params;
-    const std::string corpusPath = stringParam(params, "corpus");
-    const std::string scenario = stringParam(params, "scenario");
-    DurationNs tFast = 0, tSlow = 0;
-    resolveThresholds(params, scenario, tFast, tSlow);
-    const double maxRaw =
-        numberParamOr(params, "max_patterns", 100.0);
-    if (maxRaw < 1 || maxRaw > 10000)
-        failRequest(ErrorCode::BadRequest,
-                    "param \"max_patterns\" must be in [1, 10000]");
-    const std::size_t maxPatterns =
-        static_cast<std::size_t>(maxRaw);
-
-    Expected<SessionRegistry::Handle> session =
-        registry_.acquire(corpusPath);
-    if (!session)
-        failRequest(ErrorCode::NotFound, session.error().render());
-    checkDeadline(request.deadline);
-
-    // Shared-side analysis lock: excludes ingest_push's absorbShard
-    // while this handler reads the warm analyzer and its digest.
-    const std::shared_lock<std::shared_mutex> analysisLock =
-        session.value()->analysisLock();
-
-    Digest cacheKey;
-    cacheKey.mix("mine").mix(session.value()->corpusDigest());
-    cacheKey.mix(scenario)
-        .mix(static_cast<std::uint64_t>(tFast))
-        .mix(static_cast<std::uint64_t>(tSlow))
-        .mix(static_cast<std::uint64_t>(maxPatterns));
-    if (auto cached = session.value()->cachedResponse(cacheKey)) {
-        TL_SPAN("server.response-cache-hit", "server");
-        return std::move(JsonValue::parse(*cached).value());
-    }
-
-    Analyzer &analyzer = session.value()->analyzer();
-    const TraceCorpus &corpus = analyzer.corpus();
-    if (corpus.findScenario(scenario) == UINT32_MAX)
-        failRequest(ErrorCode::NotFound,
-                    "scenario \"" + scenario +
-                        "\" not present in corpus");
-    const ScenarioAnalysis analysis =
-        analyzer.analyzeScenario(scenario, tFast, tSlow);
-    checkDeadline(request.deadline);
-
-    JsonValue result = JsonValue::makeObject();
-    result.set("scenario", JsonValue(scenario));
-    result.set("mining_stats",
-               JsonValue(analysis.mining.stats.render()));
-    result.set("coverage", JsonValue(analysis.coverage.render()));
-    JsonValue list = JsonValue::makeArray();
-    const auto &patterns = analysis.mining.patterns;
-    for (std::size_t i = 0;
-         i < std::min(maxPatterns, patterns.size()); ++i) {
-        list.push(patternJson(patterns[i], tSlow, corpus.symbols(),
-                              i + 1));
-    }
-    result.set("patterns", std::move(list));
-    result.set("total_patterns", JsonValue(patterns.size()));
-
-    session.value()->cacheResponse(
-        cacheKey,
-        std::make_shared<const std::string>(result.render()));
-    return result;
+    Digest key;
+    key.mix("impact");
+    return answerQuery(
+        request, corpusPath, components, key,
+        [&](const CorpusSession *session) {
+            ImpactGather gather;
+            if (session != nullptr)
+                gather.fold.add(session->analyzer().impactPartial());
+            else if (auto error = coordinator_->gatherImpact(
+                         corpusPath, components, request.deadline,
+                         gather))
+                failRequest(error->code, error->message);
+            checkDeadline(request.deadline);
+            // The resolved component filter, exactly as a session
+            // resolves it (SessionRegistry: empty = analyzer default).
+            JsonValue result = impactResultJson(
+                components.empty() ? AnalyzerConfig{}.components
+                                   : components,
+                gather.fold.finalize());
+            attachGatherReport(result, gather.report);
+            return result;
+        });
 }
 
 JsonValue
@@ -1694,46 +1698,29 @@ Server::handleAnalyzePartial(const QueuedRequest &request)
     const std::vector<std::string> components =
         stringListParam(params, "components");
 
-    Expected<SessionRegistry::Handle> session =
-        registry_.acquire(corpusPath, components);
-    if (!session)
-        failRequest(ErrorCode::NotFound, session.error().render());
-    checkDeadline(request.deadline);
-
-    // Shared-side analysis lock: excludes ingest_push's absorbShard
-    // while this handler reads the warm analyzer and its digest.
-    const std::shared_lock<std::shared_mutex> analysisLock =
-        session.value()->analysisLock();
-
-    Digest cacheKey;
-    cacheKey.mix("analyze_partial")
-        .mix(session.value()->corpusDigest())
+    Digest key;
+    key.mix("analyze_partial")
         .mix(scenario)
         .mix(static_cast<std::uint64_t>(tFast))
         .mix(static_cast<std::uint64_t>(tSlow));
-    if (auto cached = session.value()->cachedResponse(cacheKey)) {
-        TL_SPAN("server.response-cache-hit", "server");
-        return std::move(JsonValue::parse(*cached).value());
-    }
+    return answerQuery(
+        request, corpusPath, components, key,
+        [&](const CorpusSession *session) {
+            const Analyzer &analyzer = session->analyzer();
+            const bool found =
+                analyzer.corpus().findScenario(scenario) != UINT32_MAX;
+            const ScenarioPartial partial =
+                analyzer.scenarioPartial(scenario, tFast, tSlow);
+            checkDeadline(request.deadline);
 
-    Analyzer &analyzer = session.value()->analyzer();
-    const bool found =
-        analyzer.corpus().findScenario(scenario) != UINT32_MAX;
-    const ScenarioPartial partial =
-        analyzer.scenarioPartial(scenario, tFast, tSlow);
-    checkDeadline(request.deadline);
-
-    JsonValue result = JsonValue::makeObject();
-    result.set("encoding_revision",
-               JsonValue(partialEncodingRevision()));
-    result.set("scenario_found", JsonValue(found));
-    result.set("partial",
-               JsonValue(base64Encode(encodeScenarioPartial(partial))));
-
-    session.value()->cacheResponse(
-        cacheKey,
-        std::make_shared<const std::string>(result.render()));
-    return result;
+            JsonValue result = JsonValue::makeObject();
+            result.set("encoding_revision",
+                       JsonValue(partialEncodingRevision()));
+            result.set("scenario_found", JsonValue(found));
+            result.set("partial", JsonValue(base64Encode(
+                                      encodeScenarioPartial(partial))));
+            return result;
+        });
 }
 
 JsonValue
@@ -1744,190 +1731,25 @@ Server::handleImpactPartial(const QueuedRequest &request)
     const std::vector<std::string> components =
         stringListParam(params, "components");
 
-    Expected<SessionRegistry::Handle> session =
-        registry_.acquire(corpusPath, components);
-    if (!session)
-        failRequest(ErrorCode::NotFound, session.error().render());
-    checkDeadline(request.deadline);
+    Digest key;
+    key.mix("impact_partial");
+    return answerQuery(
+        request, corpusPath, components, key,
+        [&](const CorpusSession *session) {
+            const ImpactPartial partial =
+                session->analyzer().impactPartial();
+            checkDeadline(request.deadline);
 
-    // Shared-side analysis lock: excludes ingest_push's absorbShard
-    // while this handler reads the warm analyzer and its digest.
-    const std::shared_lock<std::shared_mutex> analysisLock =
-        session.value()->analysisLock();
-
-    Digest cacheKey;
-    cacheKey.mix("impact_partial")
-        .mix(session.value()->corpusDigest());
-    if (auto cached = session.value()->cachedResponse(cacheKey)) {
-        TL_SPAN("server.response-cache-hit", "server");
-        return std::move(JsonValue::parse(*cached).value());
-    }
-
-    const ImpactPartial partial =
-        session.value()->analyzer().impactPartial();
-    checkDeadline(request.deadline);
-
-    JsonValue result = JsonValue::makeObject();
-    result.set("encoding_revision",
-               JsonValue(partialEncodingRevision()));
-    result.set("partial",
-               JsonValue(base64Encode(encodeImpactPartial(partial))));
-
-    session.value()->cacheResponse(
-        cacheKey,
-        std::make_shared<const std::string>(result.render()));
-    return result;
+            JsonValue result = JsonValue::makeObject();
+            result.set("encoding_revision",
+                       JsonValue(partialEncodingRevision()));
+            result.set("partial", JsonValue(base64Encode(
+                                      encodeImpactPartial(partial))));
+            return result;
+        });
 }
 
-// ------------------------------------------- coordinator handlers
-
-namespace
-{
-
-/** Degradation markers — ABSENT on a full result, so a non-degraded
- *  coordinator response stays byte-identical to single-node. */
-void
-attachGatherReport(JsonValue &result, const GatherReport &report)
-{
-    if (!report.degraded())
-        return;
-    result.set("partial_results", JsonValue(true));
-    JsonValue missing = JsonValue::makeArray();
-    for (const ShardFailure &failure : report.missing) {
-        JsonValue entry = JsonValue::makeObject();
-        entry.set("shard", JsonValue(failure.shard));
-        entry.set("worker", JsonValue(failure.worker));
-        entry.set("reason", JsonValue(failure.reason));
-        missing.push(std::move(entry));
-    }
-    result.set("missing_shards", std::move(missing));
-}
-
-} // namespace
-
-JsonValue
-Server::handleCoordAnalyze(const QueuedRequest &request)
-{
-    const JsonValue &params = request.request.params;
-    const std::string corpusPath = stringParam(params, "corpus");
-    const std::string scenario = stringParam(params, "scenario");
-    DurationNs tFast = 0, tSlow = 0;
-    resolveThresholds(params, scenario, tFast, tSlow);
-    const double topRaw = numberParamOr(params, "top", 5.0);
-    if (topRaw < 0 || topRaw > 10000)
-        failRequest(ErrorCode::BadRequest,
-                    "param \"top\" must be in [0, 10000]");
-    const std::size_t top = static_cast<std::size_t>(topRaw);
-    const bool applyFilter =
-        boolParamOr(params, "knowledge_filter", true);
-    const std::vector<std::string> components =
-        stringListParam(params, "components");
-
-    ScenarioGather gather;
-    if (auto error = coordinator_->gatherScenario(
-            Method::AnalyzePartial, corpusPath, scenario, toMs(tFast),
-            toMs(tSlow), components, request.deadline, gather))
-        failRequest(error->code, error->message);
-    checkDeadline(request.deadline);
-
-    const ImpactResult slowImpact = gather.slowImpact.finalize();
-    const AggregatedWaitGraph awgFast =
-        std::move(gather.awgFast).finalize(true);
-    const AggregatedWaitGraph awgSlow =
-        std::move(gather.awgSlow).finalize(true);
-    checkDeadline(request.deadline);
-    ScenarioSummary summary = summarizeScenario(
-        scenario, tFast, tSlow, gather.classes, slowImpact, awgFast,
-        awgSlow, gather.symbols, top, applyFilter);
-    checkDeadline(request.deadline);
-
-    JsonValue result = std::move(summary.json);
-    attachGatherReport(result, gather.report);
-    return result;
-}
-
-JsonValue
-Server::handleCoordImpact(const QueuedRequest &request)
-{
-    const JsonValue &params = request.request.params;
-    const std::string corpusPath = stringParam(params, "corpus");
-    const std::vector<std::string> components =
-        stringListParam(params, "components");
-
-    ImpactGather gather;
-    if (auto error = coordinator_->gatherImpact(
-            corpusPath, components, request.deadline, gather))
-        failRequest(error->code, error->message);
-    checkDeadline(request.deadline);
-
-    // The resolved component filter, exactly as a worker session
-    // resolves it (SessionRegistry: empty = analyzer default).
-    const std::vector<std::string> &resolved =
-        components.empty() ? AnalyzerConfig{}.components : components;
-
-    JsonValue result = JsonValue::makeObject();
-    JsonValue componentsJson = JsonValue::makeArray();
-    for (const std::string &glob : resolved)
-        componentsJson.push(JsonValue(glob));
-    result.set("components", std::move(componentsJson));
-    result.set("all", impactJson(gather.all.finalize()));
-    JsonValue perScenario = JsonValue::makeObject();
-    for (const auto &[name, accumulator] : gather.perScenario)
-        perScenario.set(name, impactJson(accumulator.finalize()));
-    result.set("per_scenario", std::move(perScenario));
-    attachGatherReport(result, gather.report);
-    return result;
-}
-
-JsonValue
-Server::handleCoordMine(const QueuedRequest &request)
-{
-    const JsonValue &params = request.request.params;
-    const std::string corpusPath = stringParam(params, "corpus");
-    const std::string scenario = stringParam(params, "scenario");
-    DurationNs tFast = 0, tSlow = 0;
-    resolveThresholds(params, scenario, tFast, tSlow);
-    const double maxRaw =
-        numberParamOr(params, "max_patterns", 100.0);
-    if (maxRaw < 1 || maxRaw > 10000)
-        failRequest(ErrorCode::BadRequest,
-                    "param \"max_patterns\" must be in [1, 10000]");
-    const std::size_t maxPatterns = static_cast<std::size_t>(maxRaw);
-
-    ScenarioGather gather;
-    if (auto error = coordinator_->gatherScenario(
-            Method::MinePartial, corpusPath, scenario, toMs(tFast),
-            toMs(tSlow), {}, request.deadline, gather))
-        failRequest(error->code, error->message);
-    checkDeadline(request.deadline);
-
-    const AggregatedWaitGraph awgFast =
-        std::move(gather.awgFast).finalize(true);
-    const AggregatedWaitGraph awgSlow =
-        std::move(gather.awgSlow).finalize(true);
-    const MiningResult mining =
-        mineGathered(awgFast, awgSlow, tFast, tSlow);
-    checkDeadline(request.deadline);
-    const CoverageResult coverage = computeCoverage(
-        mining, awgSlow.reducedCost() + awgSlow.totalRootCost(),
-        tSlow);
-
-    JsonValue result = JsonValue::makeObject();
-    result.set("scenario", JsonValue(scenario));
-    result.set("mining_stats", JsonValue(mining.stats.render()));
-    result.set("coverage", JsonValue(coverage.render()));
-    JsonValue list = JsonValue::makeArray();
-    const auto &patterns = mining.patterns;
-    for (std::size_t i = 0;
-         i < std::min(maxPatterns, patterns.size()); ++i) {
-        list.push(patternJson(patterns[i], tSlow, gather.symbols,
-                              i + 1));
-    }
-    result.set("patterns", std::move(list));
-    result.set("total_patterns", JsonValue(patterns.size()));
-    attachGatherReport(result, gather.report);
-    return result;
-}
+// ---------------------------------------------- coordinator methods
 
 JsonValue
 Server::handleClusterStatus(const QueuedRequest &request)
@@ -2359,9 +2181,9 @@ Server::drain()
         stopWorkers_ = true;
     }
     queueCv_.notify_all();
-    if (poolDriver_.joinable())
-        poolDriver_.join();
-    pool_.reset();
+    for (std::thread &worker : workers_)
+        worker.join();
+    workers_.clear();
 
     // Hang up on every connection and join the readers.
     {

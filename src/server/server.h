@@ -14,9 +14,11 @@
  *   reader thread (one per connection, socket I/O only)
  *     -> bounded request queue (maxInflight; "overloaded" rejection
  *        when full — backpressure instead of latency collapse)
- *     -> the work-stealing ThreadPool (src/util/parallel.h), each
- *        worker draining the queue and running handlers
+ *     -> plain request threads (config.workers of them), each
+ *        draining the queue and running handlers
  *     -> SessionRegistry (src/server/registry.h) for warm corpora
+ *        (a single node is a coordinator whose only worker is its
+ *        in-process session: one fold and one renderer per method)
  *     -> response line written back on the requesting connection.
  *
  * Deadlines are cooperative: "deadline_ms" (or the server default) is
@@ -44,6 +46,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -51,6 +54,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "src/fleet/service.h"
 #include "src/server/flightrecorder.h"
@@ -58,7 +62,6 @@
 #include "src/server/registry.h"
 #include "src/server/wire.h"
 #include "src/util/expected.h"
-#include "src/util/parallel.h"
 
 namespace tracelens
 {
@@ -72,7 +75,7 @@ struct ServerConfig
     std::string host = "127.0.0.1";
     /** TCP port; 0 picks an ephemeral port (see Server::port()). */
     std::uint16_t port = 0;
-    /** Request workers on the work-stealing pool; 0 = hardware. */
+    /** Request threads; 0 = hardware. */
     unsigned workers = 0;
     /** Bound on queued + running requests; beyond it requests are
      *  rejected with "overloaded" (CLI: --max-inflight). */
@@ -170,7 +173,7 @@ class Server
     Server &operator=(const Server &) = delete;
 
     /**
-     * Bind, listen, and start the accept loop and worker pool.
+     * Bind, listen, and start the accept loop and request threads.
      * Returns the bound port (the chosen one when config.port == 0).
      */
     Expected<std::uint16_t> start();
@@ -294,7 +297,7 @@ class Server
      *  the bounded priority queue. @p stream 0 = v1. */
     void routeRequest(const std::shared_ptr<Connection> &conn,
                       Request request, std::uint32_t stream);
-    /** Run one queued request on a pool worker. */
+    /** Run one queued request on a request thread. */
     void process(QueuedRequest request);
     void workerLoop();
     /** Queued requests across all priority buckets (queueMutex_). */
@@ -317,6 +320,21 @@ class Server
      *  flow-control windows allow (writeMutex held). */
     void flushOutboundLocked(const std::shared_ptr<Connection> &conn);
 
+    /**
+     * Answer one analysis query over this node's shard set. Single
+     * node: the corpus's warm session is the only, in-process worker —
+     * acquired with @p components, held under its shared analysis
+     * lock, and fronted by its exact-repeat response cache under
+     * @p key (plus the corpus digest); @p answer folds its partial.
+     * Coordinator: @p answer runs with no session and scatters.
+     */
+    JsonValue
+    answerQuery(const QueuedRequest &request,
+                const std::string &corpusPath,
+                const std::vector<std::string> &components, Digest key,
+                const std::function<JsonValue(const CorpusSession *)>
+                    &answer);
+
     /** Method handlers; return a result or throw HandlerError. */
     JsonValue handleAnalyze(const QueuedRequest &request);
     JsonValue handleImpact(const QueuedRequest &request);
@@ -327,10 +345,6 @@ class Server
      *  impact_partial): one shard in, a TLP1 payload out. */
     JsonValue handleAnalyzePartial(const QueuedRequest &request);
     JsonValue handleImpactPartial(const QueuedRequest &request);
-    /** Coordinator-side handlers: scatter/gather via coordinator_. */
-    JsonValue handleCoordAnalyze(const QueuedRequest &request);
-    JsonValue handleCoordImpact(const QueuedRequest &request);
-    JsonValue handleCoordMine(const QueuedRequest &request);
     JsonValue handleClusterStatus(const QueuedRequest &request);
     /** Coordinator-side span stitching (queued: fans out over TCP). */
     JsonValue handleClusterTrace(const QueuedRequest &request);
@@ -374,8 +388,7 @@ class Server
     std::chrono::steady_clock::time_point startTime_;
 
     std::thread acceptThread_;
-    std::thread poolDriver_;
-    std::unique_ptr<ThreadPool> pool_;
+    std::vector<std::thread> workers_;
     unsigned workerCount_ = 0;
 
     /** Reader threads and their connections, reaped as they finish. */

@@ -15,7 +15,9 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -23,13 +25,19 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/analyzer.h"
+#include "src/core/artifacts.h"
+#include "src/core/resultjson.h"
+#include "src/mining/knowledge.h"
 #include "src/server/client.h"
 #include "src/server/protocol.h"
 #include "src/server/server.h"
 #include "src/trace/serialize.h"
+#include "src/trace/source.h"
 #include "src/util/json.h"
 #include "src/util/telemetry.h"
 #include "src/workload/generator.h"
+#include "src/workload/scenarios.h"
 
 namespace tracelens
 {
@@ -302,8 +310,10 @@ TEST_F(ServerTest, WarmQueriesAreServedFromTheArtifactStore)
         << coldTrace;
 
     // Warm, different params (top=5): a different response-cache key
-    // but the same underlying artifacts — every stage the pipeline
-    // re-enters must be served from the store, nothing recomputed.
+    // over the same corpus — the wait graphs and contrast classes the
+    // query re-enters are served from the store (no "miss"), while the
+    // AWG fold and mining re-run outside it, keeping no per-threshold
+    // artifacts resident.
     Telemetry::reset();
     Expected<Response> warm = session.analyze(analyzeRequest(5));
     ASSERT_TRUE(warm.ok());
@@ -326,6 +336,285 @@ TEST_F(ServerTest, WarmQueriesAreServedFromTheArtifactStore)
               std::string::npos);
     EXPECT_EQ(repeat.value().result.render(),
               warm.value().result.render());
+    Telemetry::setEnabled(false);
+    Telemetry::reset();
+}
+
+/** The `analyze` result object built straight from the batch
+ *  Analyzer — an independent reference for the daemon's
+ *  fold-and-render path. */
+std::string
+referenceAnalyze(const Analyzer &analyzer, const std::string &scenario,
+                 DurationNs tFast, DurationNs tSlow, std::size_t top,
+                 bool applyFilter)
+{
+    const SymbolTable &symbols = analyzer.corpus().symbols();
+    const ScenarioAnalysis analysis =
+        analyzer.analyzeScenario(scenario, tFast, tSlow);
+    std::vector<ContrastPattern> patterns = analysis.mining.patterns;
+    std::size_t suppressed = 0;
+    if (applyFilter) {
+        const FilteredMiningResult filtered =
+            KnowledgeBase::defaults().apply(analysis.mining, symbols);
+        suppressed = filtered.suppressed.size();
+        patterns = filtered.kept;
+    }
+    JsonValue result = JsonValue::makeObject();
+    result.set("scenario", JsonValue(scenario));
+    result.set("tfast_ms", JsonValue(toMs(tFast)));
+    result.set("tslow_ms", JsonValue(toMs(tSlow)));
+    JsonValue classes = JsonValue::makeObject();
+    classes.set("fast", JsonValue(analysis.classes.fast.size()));
+    classes.set("middle", JsonValue(analysis.classes.middle.size()));
+    classes.set("slow", JsonValue(analysis.classes.slow.size()));
+    result.set("classes", std::move(classes));
+    result.set("slow_impact", impactJson(analysis.slowImpact));
+    result.set("driver_cost_share",
+               JsonValue(analysis.driverCostShare()));
+    result.set("coverage", JsonValue(analysis.coverage.render()));
+    result.set("mining_stats",
+               JsonValue(analysis.mining.stats.render()));
+    result.set("suppressed", JsonValue(suppressed));
+    JsonValue list = JsonValue::makeArray();
+    for (std::size_t i = 0; i < std::min(top, patterns.size()); ++i)
+        list.push(patternJson(patterns[i], tSlow, symbols, i + 1));
+    result.set("patterns", std::move(list));
+    return result.render();
+}
+
+/** The `mine` result object from the batch Analyzer. */
+std::string
+referenceMine(const Analyzer &analyzer, const std::string &scenario,
+              DurationNs tFast, DurationNs tSlow, std::size_t maxPatterns)
+{
+    const ScenarioAnalysis analysis =
+        analyzer.analyzeScenario(scenario, tFast, tSlow);
+    const std::vector<ContrastPattern> &patterns =
+        analysis.mining.patterns;
+    JsonValue result = JsonValue::makeObject();
+    result.set("scenario", JsonValue(scenario));
+    result.set("mining_stats",
+               JsonValue(analysis.mining.stats.render()));
+    result.set("coverage", JsonValue(analysis.coverage.render()));
+    JsonValue list = JsonValue::makeArray();
+    for (std::size_t i = 0; i < std::min(maxPatterns, patterns.size());
+         ++i)
+        list.push(patternJson(patterns[i], tSlow,
+                              analyzer.corpus().symbols(), i + 1));
+    result.set("patterns", std::move(list));
+    result.set("total_patterns", JsonValue(patterns.size()));
+    return result.render();
+}
+
+/** The `impact` result object from the batch Analyzer. */
+std::string
+referenceImpact(const Analyzer &analyzer)
+{
+    JsonValue result = JsonValue::makeObject();
+    JsonValue components = JsonValue::makeArray();
+    for (const std::string &glob : analyzer.components().patterns())
+        components.push(JsonValue(glob));
+    result.set("components", std::move(components));
+    result.set("all", impactJson(analyzer.impactAll()));
+    JsonValue perScenario = JsonValue::makeObject();
+    for (const auto &[id, impact] : analyzer.impactPerScenario())
+        perScenario.set(analyzer.corpus().scenarioName(id),
+                        impactJson(impact));
+    result.set("per_scenario", std::move(perScenario));
+    return result.render();
+}
+
+TEST_F(ServerTest, SingleNodeAnswersMatchTheBatchAnalyzer)
+{
+    startServer();
+    Session session = connect();
+
+    // The reference: a batch Analyzer over the same file, configured
+    // as the daemon's sessions are (one analysis thread, default
+    // components) — analyzeScenario, not the partial fold.
+    Expected<std::unique_ptr<TraceSource>> source =
+        openSource(corpusPath_);
+    ASSERT_TRUE(source.ok()) << source.error().render();
+    AnalyzerConfig config;
+    config.threads = 1;
+    const Analyzer analyzer(*source.value(), config);
+
+    const std::string scenario = "BrowserTabCreate";
+    DurationNs tFast = 0, tSlow = 0;
+    for (const ScenarioSpec &spec : scenarioCatalog()) {
+        if (spec.name == scenario) {
+            tFast = spec.tFast;
+            tSlow = spec.tSlow;
+        }
+    }
+    ASSERT_GT(tSlow, tFast);
+
+    // Catalog thresholds, default top and knowledge filter.
+    Expected<Response> plain = session.analyze(analyzeRequest());
+    ASSERT_TRUE(plain.ok()) << plain.error().render();
+    ASSERT_TRUE(plain.value().ok) << plain.value().error.message;
+    EXPECT_EQ(plain.value().result.render(),
+              referenceAnalyze(analyzer, scenario, tFast, tSlow, 5,
+                               true));
+
+    // Thresholds that split this small corpus into non-empty fast and
+    // slow classes (the catalog's leave its slow class empty): whole
+    // milliseconds around the second-fastest and second-slowest
+    // instances, so the wire carries them exactly.
+    std::vector<DurationNs> durations;
+    const TraceCorpus &corpus = analyzer.corpus();
+    for (std::uint32_t i :
+         corpus.instancesOfScenario(corpus.findScenario(scenario)))
+        durations.push_back(corpus.instanceDurations()[i]);
+    std::sort(durations.begin(), durations.end());
+    ASSERT_GE(durations.size(), 5u);
+    const double fastMs = std::ceil(toMs(durations[1]));
+    const double slowMs = std::floor(toMs(durations[durations.size() - 2]));
+    ASSERT_LT(fastMs, slowMs);
+
+    // A non-default top, no knowledge filter.
+    AnalyzeRequest custom = analyzeRequest(2);
+    custom.tfastMs = fastMs;
+    custom.tslowMs = slowMs;
+    custom.knowledgeFilter = false;
+    Expected<Response> tuned = session.analyze(custom);
+    ASSERT_TRUE(tuned.ok()) << tuned.error().render();
+    ASSERT_TRUE(tuned.value().ok) << tuned.value().error.message;
+    EXPECT_EQ(tuned.value().result.render(),
+              referenceAnalyze(analyzer, scenario, fromMs(fastMs),
+                               fromMs(slowMs), 2, false));
+    ASSERT_NE(tuned.value().result.find("patterns"), nullptr);
+    EXPECT_FALSE(
+        tuned.value().result.find("patterns")->asArray().empty());
+
+    MineRequest mine;
+    mine.corpus = corpusPath_;
+    mine.scenario = scenario;
+    mine.tfastMs = fastMs;
+    mine.tslowMs = slowMs;
+    mine.maxPatterns = 3;
+    Expected<Response> mined = session.mine(mine);
+    ASSERT_TRUE(mined.ok()) << mined.error().render();
+    ASSERT_TRUE(mined.value().ok) << mined.value().error.message;
+    EXPECT_EQ(mined.value().result.render(),
+              referenceMine(analyzer, scenario, fromMs(fastMs),
+                            fromMs(slowMs), 3));
+
+    ImpactRequest impact;
+    impact.corpus = corpusPath_;
+    Expected<Response> impacted = session.impact(impact);
+    ASSERT_TRUE(impacted.ok()) << impacted.error().render();
+    ASSERT_TRUE(impacted.value().ok) << impacted.value().error.message;
+    EXPECT_EQ(impacted.value().result.render(), referenceImpact(analyzer));
+
+    // A scenario absent from the corpus is NotFound on both methods.
+    AnalyzeRequest absent = analyzeRequest();
+    absent.scenario = "NoSuchScenario";
+    absent.tfastMs = 100;
+    absent.tslowMs = 200;
+    Expected<Response> missing = session.analyze(absent);
+    ASSERT_TRUE(missing.ok()) << missing.error().render();
+    EXPECT_FALSE(missing.value().ok);
+    EXPECT_EQ(missing.value().error.code, ErrorCode::NotFound);
+    MineRequest absentMine = mine;
+    absentMine.scenario = "NoSuchScenario";
+    absentMine.tfastMs = 100;
+    absentMine.tslowMs = 200;
+    Expected<Response> missingMine = session.mine(absentMine);
+    ASSERT_TRUE(missingMine.ok()) << missingMine.error().render();
+    EXPECT_FALSE(missingMine.value().ok);
+    EXPECT_EQ(missingMine.value().error.code, ErrorCode::NotFound);
+}
+
+TEST_F(ServerTest, FreshThresholdQueriesLeaveNoAwgOrMiningArtifacts)
+{
+    // A session's artifact store folds its counters into the global
+    // registry when the session closes; read the deltas around one
+    // daemon's lifetime.
+    auto misses = [](Stage stage) {
+        return MetricsRegistry::global()
+            .counter("pipeline." + std::string(stageName(stage)) +
+                     ".misses")
+            .value();
+    };
+    const std::uint64_t awgBefore = misses(Stage::Awg);
+    const std::uint64_t miningBefore = misses(Stage::Mining);
+    const std::uint64_t classesBefore = misses(Stage::Classes);
+    const std::uint64_t graphsBefore = misses(Stage::WaitGraphs);
+
+    startServer();
+    Session session = connect();
+    constexpr int kQueries = 6;
+    for (int i = 0; i < kQueries; ++i) {
+        AnalyzeRequest analyze = analyzeRequest();
+        analyze.tfastMs = 100 + i;
+        analyze.tslowMs = 400 + i;
+        Expected<Response> answered = session.analyze(analyze);
+        ASSERT_TRUE(answered.ok()) << answered.error().render();
+        ASSERT_TRUE(answered.value().ok)
+            << answered.value().error.message;
+
+        MineRequest mine;
+        mine.corpus = corpusPath_;
+        mine.scenario = analyze.scenario;
+        mine.tfastMs = 100 + i;
+        mine.tslowMs = 450 + i;
+        Expected<Response> mined = session.mine(mine);
+        ASSERT_TRUE(mined.ok()) << mined.error().render();
+        ASSERT_TRUE(mined.value().ok) << mined.value().error.message;
+    }
+    server_->requestStop();
+    server_->wait(); // drain closes the session, folding its counters
+
+    EXPECT_EQ(misses(Stage::Awg) - awgBefore, 0u);
+    EXPECT_EQ(misses(Stage::Mining) - miningBefore, 0u);
+    // The threshold-keyed classes memo still builds once per query,
+    // and the wait graphs once per session — the counters did fold.
+    EXPECT_EQ(misses(Stage::Classes) - classesBefore,
+              static_cast<std::uint64_t>(2 * kQueries));
+    EXPECT_GE(misses(Stage::WaitGraphs) - graphsBefore, 1u);
+}
+
+TEST_F(ServerTest, RequestSpanParentsOnTheCallerWhenTracingPrecedesStart)
+{
+    // Telemetry is on before start(), so a request thread that ran
+    // under a span of its own would parent every server.request on it
+    // instead of on the remote caller's span.
+    Telemetry::setEnabled(true);
+    Telemetry::reset();
+    startServer();
+    Session session = connect();
+    ASSERT_TRUE(session.tracingNegotiated());
+
+    CallOptions options;
+    options.traceContext.traceId = 0x5eedfeedull;
+    options.traceContext.parentSpanId = 0xca11e4;
+    options.traceContext.sampled = true;
+    SleepRequest nap;
+    nap.ms = 1;
+    Expected<Response> response =
+        session.call(Method::Sleep, nap.toParams(), options);
+    ASSERT_TRUE(response.ok()) << response.error().render();
+    EXPECT_TRUE(response.value().ok);
+
+    // The request span commits after the response is sent: poll.
+    bool found = false;
+    const auto start = std::chrono::steady_clock::now();
+    while (!found && std::chrono::steady_clock::now() - start <
+                         std::chrono::seconds(2)) {
+        for (const SpanSnapshot &span : Telemetry::snapshotSpans()) {
+            if (span.name == "server.request" &&
+                span.traceId == options.traceContext.traceId) {
+                EXPECT_EQ(span.parentSpanId, 0xca11e4u);
+                // Nothing local encloses a request on its thread.
+                EXPECT_EQ(span.depth, 0u);
+                found = true;
+            }
+        }
+        if (!found)
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_TRUE(found) << "no server.request span carried the trace id";
     Telemetry::setEnabled(false);
     Telemetry::reset();
 }
