@@ -17,6 +17,8 @@
 #   - killing the whole fleet degrades to a structured
 #     "partial_results" response instead of a hang, and
 #     cluster-status then exits nonzero,
+#   - an answer the coordinator cached while the fleet was healthy is
+#     still served, byte-identical and complete, with every worker down,
 #   - the coordinator's --self-trace-corpus drain output is a valid
 #     TLC1 corpus that `tracelens analyze` accepts (the self-analysis
 #     loop: tracelens analyzing tracelens).
@@ -160,12 +162,26 @@ fi
 BASELINE="$("$CLI" query analyze --connect "$coord_ADDR" \
     --params "$ANALYZE")" || fail "baseline analyze"
 
+# The coordinator answers an exact repeat from its response cache
+# without a scatter, so the queries that must reach the workers after
+# a kill use thresholds it has not answered yet.
+RETRY="{\"corpus\":\"$WORK/corpus\",\"scenario\":\"BrowserTabCreate\",\"tfast_ms\":280,\"tslow_ms\":520}"
+DEGRADE="{\"corpus\":\"$WORK/corpus\",\"scenario\":\"BrowserTabCreate\",\"tfast_ms\":320,\"tslow_ms\":480}"
+SINGLE_RETRY="$("$CLI" query analyze --connect "$single_ADDR" \
+    --params "$RETRY")" || fail "retry params via single node"
+
 # Kill one worker: its shards must be retried on the replica and the
 # answer must not change by a byte.
 tl_stop_daemon w1
 RETRIED="$("$CLI" query analyze --connect "$coord_ADDR" \
-    --params "$ANALYZE")" || fail "analyze after killing worker 1"
-[[ "$RETRIED" == "$BASELINE" ]] \
+    --params "$RETRY")" || fail "analyze after killing worker 1"
+[[ "$RETRIED" == "$SINGLE_RETRY" ]] \
+    || fail "retried answer differs from the single-node answer"
+echo "$RETRIED" | grep -q '"partial_results"' \
+    && fail "retried answer must be a full gather"
+REPEATED="$("$CLI" query analyze --connect "$coord_ADDR" \
+    --params "$ANALYZE")" || fail "repeat after killing worker 1"
+[[ "$REPEATED" == "$BASELINE" ]] \
     || fail "retried answer differs from baseline"
 
 # Kill the other worker too: no owner, no replica. The query must
@@ -173,12 +189,22 @@ RETRIED="$("$CLI" query analyze --connect "$coord_ADDR" \
 # never a hang or a corrupt merge.
 tl_stop_daemon w2
 DEGRADED="$("$CLI" query analyze --connect "$coord_ADDR" \
-    --deadline-ms 30000 --params "$ANALYZE")" \
+    --deadline-ms 30000 --params "$DEGRADE")" \
     || fail "degraded analyze should still answer ok"
 echo "$DEGRADED" | grep -q '"partial_results":true' \
     || fail "degraded answer must carry partial_results:true"
 echo "$DEGRADED" | grep -q '"missing_shards"' \
     || fail "degraded answer must list missing shards"
+
+# The shard files are unchanged, so the full answer cached while the
+# fleet was healthy outlives the outage: same bytes, no degradation.
+CACHED="$("$CLI" query analyze --connect "$coord_ADDR" \
+    --deadline-ms 30000 --params "$ANALYZE")" \
+    || fail "cached analyze with every worker down"
+[[ "$CACHED" == "$BASELINE" ]] \
+    || fail "cached answer differs from baseline with every worker down"
+echo "$CACHED" | grep -q '"partial_results"' \
+    && fail "cached answer must not carry partial_results"
 
 # And cluster-status now reports the outage with a nonzero exit.
 if "$CLI" cluster-status --connect "$coord_ADDR" >/dev/null 2>&1; then

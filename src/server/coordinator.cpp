@@ -157,6 +157,25 @@ Coordinator::enumerateShards(const std::string &corpusPath)
     return shards;
 }
 
+Digest
+Coordinator::listingIdentity(const std::vector<std::string> &shards)
+{
+    Digest identity;
+    for (const std::string &shard : shards) {
+        identity.mix(shard);
+        // A shard that vanished after the listing mixes a marker; its
+        // scatter then degrades, and degraded answers are not cached.
+        const std::optional<FileStamp> stamp = fileStamp(shard);
+        identity.mix(static_cast<std::uint64_t>(stamp.has_value()));
+        if (stamp) {
+            identity.mix(stamp->size)
+                .mix(static_cast<std::uint64_t>(stamp->mtimeNs))
+                .mix(stamp->inode);
+        }
+    }
+    return identity;
+}
+
 // -------------------------------------------------- Scatter (private)
 
 /**
@@ -573,27 +592,65 @@ decodeError(const SourceError &error)
 
 } // namespace
 
+template <typename Partial, typename Fold>
+std::optional<GatherError>
+Coordinator::scatterDecodeFold(
+    Method method, const std::vector<std::string> &shards,
+    const std::vector<JsonValue> &params,
+    const std::optional<Clock::time_point> &deadline,
+    GatherReport &report,
+    const std::function<Expected<Partial>(const JsonValue &,
+                                          const std::string &)> &decode,
+    Fold &fold)
+{
+    std::vector<std::optional<JsonValue>> results;
+    {
+        Span span("coordinator.scatter", "server");
+        Scatter scatter(*this, deadline);
+        if (auto error = scatter.run(method, shards, params, results,
+                                     report))
+            return error;
+    }
+
+    std::vector<Partial> partials;
+    {
+        Span span("coordinator.decode", "server");
+        for (std::size_t i = 0; i < results.size(); ++i) {
+            if (!results[i])
+                continue;
+            std::string bytes;
+            if (auto error =
+                    extractPartialBytes(*results[i], shards[i], bytes))
+                return error;
+            Expected<Partial> decoded = decode(*results[i], bytes);
+            if (!decoded)
+                return decodeError(decoded.error());
+            partials.push_back(std::move(decoded.value()));
+        }
+    }
+
+    // Fold in global shard order — the byte-identity contract.
+    Span span("coordinator.fold", "server");
+    for (Partial &partial : partials)
+        fold.add(std::move(partial));
+    return std::nullopt;
+}
+
 std::optional<GatherError>
 Coordinator::gatherScenario(
-    Method method, const std::string &corpusPath,
+    Method method, const std::vector<std::string> &shards,
     const std::string &scenario, double tfastMs, double tslowMs,
     const std::vector<std::string> &components,
     const std::optional<Clock::time_point> &deadline,
     ScenarioGather &out)
 {
     Span span("coordinator.gather-scenario", "server");
-    Expected<std::vector<std::string>> shards =
-        enumerateShards(corpusPath);
-    if (!shards)
-        return GatherError{ErrorCode::NotFound,
-                           shards.error().render()};
     if (span.active())
-        span.arg("shards",
-                 static_cast<std::uint64_t>(shards.value().size()));
+        span.arg("shards", static_cast<std::uint64_t>(shards.size()));
 
     std::vector<JsonValue> params;
-    params.reserve(shards.value().size());
-    for (const std::string &shard : shards.value()) {
+    params.reserve(shards.size());
+    for (const std::string &shard : shards) {
         AnalyzePartialRequest request;
         request.corpus = shard;
         request.scenario = scenario;
@@ -602,80 +659,42 @@ Coordinator::gatherScenario(
         request.components = components;
         params.push_back(request.toParams());
     }
-
-    std::vector<std::optional<JsonValue>> results;
-    Scatter scatter(*this, deadline);
-    if (auto error = scatter.run(method, shards.value(), params,
-                                 results, out.report))
-        return error;
-
-    // Fold in global shard order — the byte-identity contract.
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        if (!results[i])
-            continue;
-        std::string bytes;
-        if (auto error = extractPartialBytes(
-                *results[i], shards.value()[i], bytes))
-            return error;
-        Expected<ScenarioPartial> decoded =
-            decodeScenarioPartial(bytes);
-        if (!decoded)
-            return decodeError(decoded.error());
-        if (const JsonValue *found =
-                results[i]->find("scenario_found");
-            found != nullptr && found->isBool() && found->asBool())
-            out.scenarioFound = true;
-        out.fold.add(std::move(decoded.value()));
-    }
-    return std::nullopt;
+    return scatterDecodeFold<ScenarioPartial>(
+        method, shards, params, deadline, out.report,
+        [&out](const JsonValue &result, const std::string &bytes) {
+            if (const JsonValue *found = result.find("scenario_found");
+                found != nullptr && found->isBool() && found->asBool())
+                out.scenarioFound = true;
+            return decodeScenarioPartial(bytes);
+        },
+        out.fold);
 }
 
 std::optional<GatherError>
 Coordinator::gatherImpact(
-    const std::string &corpusPath,
+    const std::vector<std::string> &shards,
     const std::vector<std::string> &components,
     const std::optional<Clock::time_point> &deadline,
     ImpactGather &out)
 {
     Span span("coordinator.gather-impact", "server");
-    Expected<std::vector<std::string>> shards =
-        enumerateShards(corpusPath);
-    if (!shards)
-        return GatherError{ErrorCode::NotFound,
-                           shards.error().render()};
     if (span.active())
-        span.arg("shards",
-                 static_cast<std::uint64_t>(shards.value().size()));
+        span.arg("shards", static_cast<std::uint64_t>(shards.size()));
 
     std::vector<JsonValue> params;
-    params.reserve(shards.value().size());
-    for (const std::string &shard : shards.value()) {
+    params.reserve(shards.size());
+    for (const std::string &shard : shards) {
         ImpactPartialRequest request;
         request.corpus = shard;
         request.components = components;
         params.push_back(request.toParams());
     }
-
-    std::vector<std::optional<JsonValue>> results;
-    Scatter scatter(*this, deadline);
-    if (auto error = scatter.run(Method::ImpactPartial,
-                                 shards.value(), params, results,
-                                 out.report))
-        return error;
-
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        if (!results[i])
-            continue;
-        std::string bytes;
-        if (auto error = extractPartialBytes(
-                *results[i], shards.value()[i], bytes))
-            return error;
-        Expected<ImpactPartial> decoded = decodeImpactPartial(bytes);
-        if (!decoded)
-            return decodeError(decoded.error());
-        out.fold.add(std::move(decoded.value()));
-    }
-    return std::nullopt;
+    return scatterDecodeFold<ImpactPartial>(
+        Method::ImpactPartial, shards, params, deadline, out.report,
+        [](const JsonValue &, const std::string &bytes) {
+            return decodeImpactPartial(bytes);
+        },
+        out.fold);
 }
 
 namespace

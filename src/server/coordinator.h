@@ -35,6 +35,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -46,7 +47,9 @@
 #include "src/core/partial.h"
 #include "src/server/client.h"
 #include "src/server/protocol.h"
+#include "src/server/responsecache.h"
 #include "src/util/expected.h"
+#include "src/util/hash.h"
 #include "src/util/json.h"
 
 namespace tracelens
@@ -173,16 +176,26 @@ class Coordinator
     enumerateShards(const std::string &corpusPath);
 
     /**
-     * Scatter one scenario-partial request per shard (@p method is
+     * Digest of @p shards (an enumerateShards() listing) as they sit
+     * on disk: each shard's path and FileStamp, in order. Two equal
+     * identities name the same shard bytes, so the coordinator's
+     * response cache keys on it.
+     */
+    static Digest listingIdentity(const std::vector<std::string> &shards);
+
+    /**
+     * Scatter one scenario-partial request per shard of @p shards
+     * (the query's enumerateShards() listing; @p method is
      * Method::AnalyzePartial or Method::MinePartial — same payload,
      * same worker handler) and fold the partials in shard order.
-     * Returns an error only for query-level failures (bad corpus,
-     * revision mismatch, deadline); per-shard worker failures degrade
-     * into @c out.report instead, and a scenario absent from every
-     * answered shard leaves @c out.scenarioFound false.
+     * Returns an error only for query-level failures (revision
+     * mismatch, deadline, undecodable partial); per-shard worker
+     * failures degrade into @c out.report instead, and a scenario
+     * absent from every answered shard leaves @c out.scenarioFound
+     * false.
      */
     std::optional<GatherError>
-    gatherScenario(Method method, const std::string &corpusPath,
+    gatherScenario(Method method, const std::vector<std::string> &shards,
                    const std::string &scenario, double tfastMs,
                    double tslowMs,
                    const std::vector<std::string> &components,
@@ -192,11 +205,19 @@ class Coordinator
 
     /** Scatter `impact_partial` and fold (same contract). */
     std::optional<GatherError>
-    gatherImpact(const std::string &corpusPath,
+    gatherImpact(const std::vector<std::string> &shards,
                  const std::vector<std::string> &components,
                  const std::optional<
                      std::chrono::steady_clock::time_point> &deadline,
                  ImpactGather &out);
+
+    /**
+     * The coordinator's exact-repeat cache of rendered answers, keyed
+     * by method, params, component filter and listingIdentity(): a
+     * repeat over unchanged shard files is answered without a
+     * scatter, also while workers are down.
+     */
+    ResponseCache &responses() { return responses_; }
 
     /**
      * Probe every worker's `health` (short per-worker timeout) and
@@ -228,6 +249,25 @@ class Coordinator
     class Scatter; // per-gather session bookkeeping (coordinator.cpp)
 
     /**
+     * The body of both gathers: scatter @p params (one per shard of
+     * @p shards), decode each answered shard's TLP1 payload with
+     * @p decode, and fold the partials into @p fold in shard order,
+     * under the `coordinator.scatter`, `coordinator.decode` and
+     * `coordinator.fold` spans.
+     */
+    template <typename Partial, typename Fold>
+    std::optional<GatherError> scatterDecodeFold(
+        Method method, const std::vector<std::string> &shards,
+        const std::vector<JsonValue> &params,
+        const std::optional<std::chrono::steady_clock::time_point>
+            &deadline,
+        GatherReport &report,
+        const std::function<Expected<Partial>(const JsonValue &,
+                                              const std::string &)>
+            &decode,
+        Fold &fold);
+
+    /**
      * Worker-session pool. A gather that drains cleanly returns its
      * handshaken sessions here, so the next gather skips the TCP
      * connect, the v2 negotiation, and the health/revision handshake —
@@ -247,6 +287,8 @@ class Coordinator
 
     std::mutex poolMutex_;
     std::map<std::uint32_t, std::vector<Session>> pool_;
+
+    ResponseCache responses_;
 };
 
 } // namespace server

@@ -51,27 +51,15 @@ struct SessionRegistry::Entry
     std::string key;
     std::once_flag openOnce;
     std::shared_ptr<CorpusSession> session; //!< Null until opened.
+    /** Set once @c session is, for readers outside the once_flag. */
+    std::atomic<bool> ready{false};
     /** Set when the open failed (the entry is then a tombstone). */
     std::optional<SourceError> openError;
+    /** A plain-file corpus's stamp, taken before the open read it. */
+    std::optional<FileStamp> stamp;
     std::atomic<std::size_t> active{0};
     std::atomic<Clock::rep> lastUsed{0};
 };
-
-std::shared_ptr<const std::string>
-CorpusSession::cachedResponse(const Digest &key) const
-{
-    std::lock_guard<std::mutex> lock(responseMutex_);
-    const auto it = responses_.find(key);
-    return it == responses_.end() ? nullptr : it->second;
-}
-
-void
-CorpusSession::cacheResponse(const Digest &key,
-                             std::shared_ptr<const std::string> line)
-{
-    std::lock_guard<std::mutex> lock(responseMutex_);
-    responses_.insert_or_assign(key, std::move(line));
-}
 
 void
 CorpusSession::absorbShard(const TraceCorpus &corpus)
@@ -79,6 +67,7 @@ CorpusSession::absorbShard(const TraceCorpus &corpus)
     const std::unique_lock<std::shared_mutex> lock(analysisMutex_);
     analyzer_->addStreams(corpus);
     corpusDigest_ = analyzer_->corpusDigest();
+    responses_.clear();
 }
 
 SessionRegistry::Handle::Handle(std::shared_ptr<Entry> entry,
@@ -115,7 +104,31 @@ SessionRegistry::acquire(const std::string &path,
                          const std::vector<std::string> &components)
 {
     const std::string key = sessionKey(path, components);
+    // A file rewritten under a warm session retires it; the bound
+    // keeps a file that changes on every stat from spinning here.
+    for (int attempt = 0;; ++attempt) {
+        Expected<Handle> handle = acquireOnce(key, path, components);
+        if (!handle || attempt == 2 || !handle.value().entry_->stamp ||
+            fileStamp(path) == handle.value().entry_->stamp)
+            return handle;
+        std::shared_ptr<Entry> stale = handle.value().entry_;
+        handle = Handle();
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto it = sessions_.find(key);
+        if (it != sessions_.end() && it->second == stale) {
+            TL_LOG(Debug, "session registry: ", key,
+                   " changed on disk; reopening");
+            sessions_.erase(it);
+            evicted_.fetch_add(1, std::memory_order_relaxed);
+        }
+    }
+}
 
+Expected<SessionRegistry::Handle>
+SessionRegistry::acquireOnce(const std::string &key,
+                             const std::string &path,
+                             const std::vector<std::string> &components)
+{
     std::shared_ptr<Entry> entry;
     bool fresh = false;
     {
@@ -138,6 +151,7 @@ SessionRegistry::acquire(const std::string &path,
     // Expensive open outside the registry lock; once per entry.
     std::call_once(entry->openOnce, [&] {
         TL_SPAN("server.session-open", "server");
+        entry->stamp = fileStamp(path);
         Expected<std::unique_ptr<TraceSource>> source =
             openSource(path, config_.source);
         if (!source) {
@@ -192,6 +206,7 @@ SessionRegistry::acquire(const std::string &path,
         }
 
         entry->session = std::move(session);
+        entry->ready.store(true, std::memory_order_release);
         opened_.fetch_add(1, std::memory_order_relaxed);
         MetricsRegistry::global()
             .counter("server.sessions.opened")
@@ -315,6 +330,13 @@ SessionRegistry::stats() const
     {
         std::lock_guard<std::mutex> lock(mutex_);
         stats.openSessions = sessions_.size();
+        for (const auto &[key, entry] : sessions_) {
+            if (!entry->ready.load(std::memory_order_acquire))
+                continue;
+            stats.cachedResponses += entry->session->responses().entries();
+            stats.cachedResponseBytes +=
+                entry->session->responses().bytes();
+        }
     }
     stats.activeHandles =
         activeHandles_.load(std::memory_order_relaxed);

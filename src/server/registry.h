@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "src/core/analyzer.h"
+#include "src/server/responsecache.h"
 #include "src/trace/source.h"
 #include "src/util/hash.h"
 
@@ -102,16 +103,14 @@ class CorpusSession
      * (method, params, corpus digest). An unchanged corpus answers a
      * repeated query without re-entering the pipeline at all.
      */
-    std::shared_ptr<const std::string>
-    cachedResponse(const Digest &key) const;
-    void cacheResponse(const Digest &key,
-                       std::shared_ptr<const std::string> line);
+    ResponseCache &responses() const { return responses_; }
 
     /**
-     * Absorb a pushed shard into the warm Analyzer and refresh the
-     * response-cache digest so stale cached renders stop matching
-     * (continuous mode's `ingest_push`). Takes the exclusive side of
-     * analysisLock() for the brief append.
+     * Absorb a pushed shard into the warm Analyzer, refresh the corpus
+     * digest and drop the cached responses, whose keys name the old
+     * digest and can never match again (continuous mode's
+     * `ingest_push`). Takes the exclusive side of analysisLock() for
+     * the brief append.
      */
     void absorbShard(const TraceCorpus &corpus);
 
@@ -137,10 +136,7 @@ class CorpusSession
     /** Readers = analysis handlers; writer = absorbShard(). */
     mutable std::shared_mutex analysisMutex_;
 
-    mutable std::mutex responseMutex_;
-    std::unordered_map<Digest, std::shared_ptr<const std::string>,
-                       DigestHash>
-        responses_;
+    mutable ResponseCache responses_;
 };
 
 /** Registry counters (the `stats` method reports these). */
@@ -152,6 +148,8 @@ struct RegistryStats
     std::uint64_t reused = 0;       //!< acquire() hits on a warm session.
     std::uint64_t evicted = 0;      //!< Idle / LRU evictions.
     std::uint64_t openFailures = 0; //!< Opens that failed.
+    std::size_t cachedResponses = 0;     //!< Over resident sessions.
+    std::size_t cachedResponseBytes = 0; //!< Over resident sessions.
 };
 
 class SessionRegistry
@@ -212,6 +210,9 @@ class SessionRegistry
      * Open (or reuse) the session for @p path with the session-level
      * @p components filter (empty = analyzer default). Expensive on a
      * cold corpus — call from a worker thread, never the accept loop.
+     * A session over a plain file whose size, mtime or inode changed
+     * since it opened is replaced by a fresh one (a worker's shard was
+     * rewritten); directory sessions are reused as opened.
      */
     Expected<Handle> acquire(const std::string &path,
                              const std::vector<std::string> &components =
@@ -229,6 +230,12 @@ class SessionRegistry
     const RegistryConfig &config() const { return config_; }
 
   private:
+    /** acquire() without the changed-on-disk check. */
+    Expected<Handle> acquireOnce(const std::string &key,
+                                 const std::string &path,
+                                 const std::vector<std::string>
+                                     &components);
+
     /** Evict oldest inactive sessions until <= maxSessions remain. */
     void enforceCapacityLocked();
 

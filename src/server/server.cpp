@@ -1445,10 +1445,11 @@ struct ScenarioQuery
 /**
  * Fold @p query's scenario partials: from @p session's analyzer when
  * this node answers alone (its one in-process worker), else scattered
- * by @p coordinator to the workers as @p method requests.
+ * by @p coordinator over the listing @p shards as @p method requests.
  */
 ScenarioGather
 gatherScenario(Coordinator *coordinator, const CorpusSession *session,
+               const std::vector<std::string> &shards,
                const std::optional<Clock::time_point> &deadline,
                Method method, const ScenarioQuery &query,
                const std::vector<std::string> &components)
@@ -1462,9 +1463,8 @@ gatherScenario(Coordinator *coordinator, const CorpusSession *session,
         gather.fold.add(analyzer.scenarioPartial(
             query.scenario, query.tFast, query.tSlow));
     } else if (auto error = coordinator->gatherScenario(
-                   method, query.corpus, query.scenario,
-                   toMs(query.tFast), toMs(query.tSlow), components,
-                   deadline, gather)) {
+                   method, shards, query.scenario, toMs(query.tFast),
+                   toMs(query.tSlow), components, deadline, gather)) {
         failRequest(error->code, error->message);
     }
     checkDeadline(deadline);
@@ -1494,17 +1494,34 @@ attachGatherReport(JsonValue &result, const GatherReport &report)
     result.set("missing_shards", std::move(missing));
 }
 
+/**
+ * Serve @p key from @p cache, or compute it with @p answer and cache
+ * the rendered result unless it is degraded: a degraded answer is
+ * what the workers could give at the time, not the answer.
+ */
+JsonValue
+cachedAnswer(ResponseCache &cache, const Digest &key,
+             const std::function<JsonValue()> &answer)
+{
+    if (auto cached = cache.find(key)) {
+        TL_SPAN("server.response-cache-hit", "server");
+        return std::move(JsonValue::parse(*cached).value());
+    }
+    JsonValue result = answer();
+    if (result.find("partial_results") == nullptr)
+        cache.insert(key,
+                     std::make_shared<const std::string>(result.render()));
+    return result;
+}
+
 } // namespace
 
 JsonValue
-Server::answerQuery(
+Server::withSession(
     const QueuedRequest &request, const std::string &corpusPath,
-    const std::vector<std::string> &components, Digest key,
-    const std::function<JsonValue(const CorpusSession *)> &answer)
+    const std::vector<std::string> &components,
+    const std::function<JsonValue(const CorpusSession &)> &body)
 {
-    if (coordinator_)
-        return answer(nullptr);
-
     Expected<SessionRegistry::Handle> session =
         registry_.acquire(corpusPath, components);
     if (!session)
@@ -1515,16 +1532,39 @@ Server::answerQuery(
     // while the query reads the warm analyzer and its digest.
     const std::shared_lock<std::shared_mutex> analysisLock =
         session.value()->analysisLock();
+    return body(*session.value());
+}
 
-    key.mix(session.value()->corpusDigest());
-    if (auto cached = session.value()->cachedResponse(key)) {
-        TL_SPAN("server.response-cache-hit", "server");
-        return std::move(JsonValue::parse(*cached).value());
+JsonValue
+Server::answerQuery(const QueuedRequest &request,
+                    const std::string &corpusPath,
+                    const std::vector<std::string> &components,
+                    Digest key, const AnswerFn &answer)
+{
+    if (coordinator_) {
+        // One listing per query: it keys the cache and is the scatter.
+        const Expected<std::vector<std::string>> shards =
+            Coordinator::enumerateShards(corpusPath);
+        if (!shards)
+            failRequest(ErrorCode::NotFound, shards.error().render());
+        // A session is keyed on path and component filter; the
+        // listing's paths and stamps stand in for the corpus digest.
+        key.mix(static_cast<std::uint64_t>(components.size()));
+        for (const std::string &component : components)
+            key.mix(component);
+        key.mix(Coordinator::listingIdentity(shards.value()));
+        return cachedAnswer(coordinator_->responses(), key, [&] {
+            return answer(nullptr, shards.value());
+        });
     }
-    JsonValue result = answer(&*session.value());
-    session.value()->cacheResponse(
-        key, std::make_shared<const std::string>(result.render()));
-    return result;
+    return withSession(
+        request, corpusPath, components,
+        [&](const CorpusSession &session) {
+            key.mix(session.corpusDigest());
+            return cachedAnswer(session.responses(), key, [&] {
+                return answer(&session, {});
+            });
+        });
 }
 
 JsonValue
@@ -1543,9 +1583,10 @@ Server::handleAnalyze(const QueuedRequest &request)
         .mix(static_cast<std::uint64_t>(applyFilter));
     return answerQuery(
         request, query.corpus, components, key,
-        [&](const CorpusSession *session) {
+        [&](const CorpusSession *session,
+            const std::vector<std::string> &shards) {
             ScenarioGather gather = gatherScenario(
-                coordinator_.get(), session, request.deadline,
+                coordinator_.get(), session, shards, request.deadline,
                 Method::AnalyzePartial, query, components);
             const FoldedScenario folded =
                 std::move(gather.fold).finalize();
@@ -1574,9 +1615,10 @@ Server::handleMine(const QueuedRequest &request)
     key.mix(static_cast<std::uint64_t>(maxPatterns));
     return answerQuery(
         request, query.corpus, {}, key,
-        [&](const CorpusSession *session) {
+        [&](const CorpusSession *session,
+            const std::vector<std::string> &shards) {
             ScenarioGather gather = gatherScenario(
-                coordinator_.get(), session, request.deadline,
+                coordinator_.get(), session, shards, request.deadline,
                 Method::MinePartial, query, {});
             JsonValue result = mineResultJson(
                 query.scenario, query.tFast, query.tSlow,
@@ -1600,13 +1642,13 @@ Server::handleImpact(const QueuedRequest &request)
     key.mix("impact");
     return answerQuery(
         request, corpusPath, components, key,
-        [&](const CorpusSession *session) {
+        [&](const CorpusSession *session,
+            const std::vector<std::string> &shards) {
             ImpactGather gather;
             if (session != nullptr)
                 gather.fold.add(session->analyzer().impactPartial());
             else if (auto error = coordinator_->gatherImpact(
-                         corpusPath, components, request.deadline,
-                         gather))
+                         shards, components, request.deadline, gather))
                 failRequest(error->code, error->message);
             checkDeadline(request.deadline);
             // The resolved component filter, exactly as a session
@@ -1698,15 +1740,10 @@ Server::handleAnalyzePartial(const QueuedRequest &request)
     const std::vector<std::string> components =
         stringListParam(params, "components");
 
-    Digest key;
-    key.mix("analyze_partial")
-        .mix(scenario)
-        .mix(static_cast<std::uint64_t>(tFast))
-        .mix(static_cast<std::uint64_t>(tSlow));
-    return answerQuery(
-        request, corpusPath, components, key,
-        [&](const CorpusSession *session) {
-            const Analyzer &analyzer = session->analyzer();
+    return withSession(
+        request, corpusPath, components,
+        [&](const CorpusSession &session) {
+            const Analyzer &analyzer = session.analyzer();
             const bool found =
                 analyzer.corpus().findScenario(scenario) != UINT32_MAX;
             const ScenarioPartial partial =
@@ -1731,13 +1768,11 @@ Server::handleImpactPartial(const QueuedRequest &request)
     const std::vector<std::string> components =
         stringListParam(params, "components");
 
-    Digest key;
-    key.mix("impact_partial");
-    return answerQuery(
-        request, corpusPath, components, key,
-        [&](const CorpusSession *session) {
+    return withSession(
+        request, corpusPath, components,
+        [&](const CorpusSession &session) {
             const ImpactPartial partial =
-                session->analyzer().impactPartial();
+                session.analyzer().impactPartial();
             checkDeadline(request.deadline);
 
             JsonValue result = JsonValue::makeObject();
@@ -2149,6 +2184,20 @@ Server::statsResult()
     sessionsJson.set("open_failures",
                      JsonValue(sessions.openFailures));
     result.set("sessions", std::move(sessionsJson));
+    // Rendered answers held for exact repeats: the sessions' caches
+    // plus, on a coordinator, its own.
+    JsonValue cacheJson = JsonValue::makeObject();
+    cacheJson.set("entries",
+                  JsonValue(sessions.cachedResponses +
+                            (coordinator_
+                                 ? coordinator_->responses().entries()
+                                 : 0)));
+    cacheJson.set("bytes",
+                  JsonValue(sessions.cachedResponseBytes +
+                            (coordinator_
+                                 ? coordinator_->responses().bytes()
+                                 : 0)));
+    result.set("response_cache", std::move(cacheJson));
     JsonValue latency = JsonValue::makeObject();
     latency.set("count", JsonValue(latencyHist_->count()));
     latency.set("p50_us", JsonValue(latencyHist_->percentile(0.50)));

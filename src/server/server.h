@@ -321,19 +321,37 @@ class Server
     void flushOutboundLocked(const std::shared_ptr<Connection> &conn);
 
     /**
-     * Answer one analysis query over this node's shard set. Single
-     * node: the corpus's warm session is the only, in-process worker —
-     * acquired with @p components, held under its shared analysis
-     * lock, and fronted by its exact-repeat response cache under
-     * @p key (plus the corpus digest); @p answer folds its partial.
-     * Coordinator: @p answer runs with no session and scatters.
+     * Run @p body on the warm session of @p corpusPath under
+     * @p components, holding the session's shared analysis lock.
      */
     JsonValue
-    answerQuery(const QueuedRequest &request,
+    withSession(const QueuedRequest &request,
                 const std::string &corpusPath,
-                const std::vector<std::string> &components, Digest key,
-                const std::function<JsonValue(const CorpusSession *)>
-                    &answer);
+                const std::vector<std::string> &components,
+                const std::function<JsonValue(const CorpusSession &)>
+                    &body);
+
+    /** Folds one query's partials and renders the result: from the
+     *  session on a single node (shards empty), else by scattering
+     *  the listing @c shards (session null). */
+    using AnswerFn = std::function<JsonValue(
+        const CorpusSession *session,
+        const std::vector<std::string> &shards)>;
+
+    /**
+     * Answer one analysis query over this node's shard set, fronted
+     * by the exact-repeat response cache of the node that renders it
+     * under @p key plus a corpus identity. Single node: the corpus's
+     * warm session (withSession()) is the only, in-process worker and
+     * its digest is the identity. Coordinator: the corpus's shard
+     * listing, enumerated once, is the scatter, and @p components plus
+     * its listingIdentity() are the identity. Degraded answers are
+     * never cached.
+     */
+    JsonValue answerQuery(const QueuedRequest &request,
+                          const std::string &corpusPath,
+                          const std::vector<std::string> &components,
+                          Digest key, const AnswerFn &answer);
 
     /** Method handlers; return a result or throw HandlerError. */
     JsonValue handleAnalyze(const QueuedRequest &request);

@@ -7,6 +7,8 @@
 
 #include "src/trace/source.h"
 
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <filesystem>
 #include <sstream>
@@ -526,6 +528,21 @@ isShardFilename(std::string_view filename)
     constexpr std::string_view kExt = ".tlc";
     return filename.size() > kExt.size() &&
            filename.substr(filename.size() - kExt.size()) == kExt;
+}
+
+std::optional<FileStamp>
+fileStamp(const std::string &path)
+{
+    struct stat st = {};
+    if (::stat(path.c_str(), &st) != 0 || !S_ISREG(st.st_mode))
+        return std::nullopt;
+    FileStamp stamp;
+    stamp.size = static_cast<std::uint64_t>(st.st_size);
+    stamp.mtimeNs =
+        static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1000000000 +
+        st.st_mtim.tv_nsec;
+    stamp.inode = static_cast<std::uint64_t>(st.st_ino);
+    return stamp;
 }
 
 } // namespace tracelens

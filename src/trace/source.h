@@ -275,6 +275,25 @@ openSource(const std::string &path, const SourceOptions &options = {});
  */
 bool isShardFilename(std::string_view filename);
 
+/** What stat() says about a file's bytes: equal stamps are taken to
+ *  mean unchanged content (the response caches key on them). */
+struct FileStamp
+{
+    std::uint64_t size = 0;
+    std::int64_t mtimeNs = 0;
+    std::uint64_t inode = 0;
+
+    friend bool
+    operator==(const FileStamp &a, const FileStamp &b)
+    {
+        return a.size == b.size && a.mtimeNs == b.mtimeNs &&
+               a.inode == b.inode;
+    }
+};
+
+/** stat() @p path; nullopt unless it names a regular file. */
+std::optional<FileStamp> fileStamp(const std::string &path);
+
 /**
  * Estimated resident bytes of a materialized corpus (events,
  * instances, symbol table, stream metadata) — the unit of

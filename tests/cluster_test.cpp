@@ -5,7 +5,10 @@
  * single-node ingest order exactly), the coordinator's scatter/gather
  * byte-identity contract against a single-node daemon, worker-failure
  * semantics (replica retry, degraded responses under a deadline), the
- * mixed-revision handshake, and the worker-side `*_partial` methods.
+ * mixed-revision handshake, the worker-side `*_partial` methods, and
+ * the coordinator's exact-repeat response cache (hits cause no worker
+ * request; changed shard files, component filters and degraded
+ * answers never hit).
  * Built into the "server" ctest label so the whole file runs under
  * both sanitizers (ctest --preset asan-server / tsan-server).
  */
@@ -14,6 +17,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -241,6 +246,54 @@ class ClusterTest : public ::testing::Test
         return request;
     }
 
+    /** BrowserTabCreate with explicit thresholds (tfast < tslow). */
+    JsonValue
+    analyzeParams(double tfastMs, double tslowMs) const
+    {
+        JsonValue params = analyzeRequest().toParams();
+        params.set("tfast_ms", JsonValue(tfastMs));
+        params.set("tslow_ms", JsonValue(tslowMs));
+        return params;
+    }
+
+    /** Requests @p workers have received (their requests.total). */
+    static std::uint64_t
+    workerRequests(const std::vector<const Daemon *> &workers)
+    {
+        std::uint64_t total = 0;
+        for (const Daemon *worker : workers)
+            total += worker->server->stats().requests;
+        return total;
+    }
+
+    /** One call's rendered result; a failed call fails the test. */
+    static std::string
+    answer(Session &session, Method method, const JsonValue &params)
+    {
+        Expected<Response> response = session.call(method, params);
+        EXPECT_TRUE(response.ok()) << response.error().render();
+        if (!response.ok())
+            return std::string();
+        EXPECT_TRUE(response.value().ok)
+            << methodName(method) << ": "
+            << response.value().error.message;
+        return response.value().result.render();
+    }
+
+    /** The `response_cache` object of @p session's `stats`. */
+    static JsonValue
+    responseCacheStats(Session &session)
+    {
+        Expected<Response> stats =
+            session.call(Method::Stats, JsonValue::makeObject());
+        EXPECT_TRUE(stats.ok() && stats.value().ok);
+        const JsonValue *cache =
+            stats.ok() ? stats.value().result.find("response_cache")
+                       : nullptr;
+        EXPECT_NE(cache, nullptr);
+        return cache != nullptr ? *cache : JsonValue::makeObject();
+    }
+
     void
     TearDown() override
     {
@@ -313,6 +366,273 @@ TEST_F(ClusterTest, CoordinatorReportsAreByteIdenticalToSingleNode)
               singleMine.value().result.render());
 }
 
+// -------------------------------------------- coordinator response cache
+
+TEST_F(ClusterTest, ExactRepeatsAreAnsweredWithoutAScatter)
+{
+    Daemon worker1 = startWorker();
+    Daemon worker2 = startWorker();
+    Daemon coord = startCoordinator(
+        {worker1.address(), worker2.address()});
+    Daemon single = startWorker();
+    Session coordSession = connect(coord);
+    Session singleSession = connect(single);
+
+    MineRequest mine;
+    mine.corpus = corpusDir_;
+    mine.scenario = "BrowserTabCreate";
+    ImpactRequest impact;
+    impact.corpus = corpusDir_;
+    const std::vector<std::pair<Method, JsonValue>> queries = {
+        {Method::Analyze, analyzeRequest().toParams()},
+        {Method::Mine, mine.toParams()},
+        {Method::Impact, impact.toParams()},
+    };
+    for (const auto &[method, params] : queries) {
+        const std::string first = answer(coordSession, method, params);
+        const std::uint64_t before = workerRequests({&worker1, &worker2});
+        const std::string repeat = answer(coordSession, method, params);
+        EXPECT_EQ(workerRequests({&worker1, &worker2}), before)
+            << methodName(method) << " repeat reached the workers";
+        EXPECT_EQ(repeat, first) << methodName(method);
+        EXPECT_EQ(repeat, answer(singleSession, method, params))
+            << methodName(method);
+    }
+    EXPECT_EQ(responseCacheStats(coordSession)
+                  .find("entries")
+                  ->asNumber(),
+              3.0);
+}
+
+TEST_F(ClusterTest, ChangedShardFilesMakeTheRepeatScatterAgain)
+{
+    Daemon worker1 = startWorker();
+    Daemon worker2 = startWorker();
+    Daemon coord = startCoordinator(
+        {worker1.address(), worker2.address()});
+    Session coordSession = connect(coord);
+
+    ImpactRequest impact;
+    impact.corpus = corpusDir_;
+    const std::vector<std::pair<Method, JsonValue>> queries = {
+        {Method::Analyze, analyzeRequest().toParams()},
+        {Method::Impact, impact.toParams()},
+    };
+    std::vector<std::string> original;
+    for (const auto &[method, params] : queries)
+        original.push_back(answer(coordSession, method, params));
+
+    // Shards of another corpus: renamed into place, they rewrite one
+    // shard file and then add a fifth.
+    CorpusSpec spec;
+    spec.machines = 8;
+    spec.seed = 4242;
+    const std::vector<std::string> donor = writeShardedCorpusDir(
+        generateCorpus(spec), (scratch_->path() / "donor").string(), 4);
+    ASSERT_EQ(donor.size(), 4u);
+    const fs::path corpus(corpusDir_);
+    const std::vector<std::pair<std::string, fs::path>> changes = {
+        {"rewrite", corpus / "shard-0001.tlc"},
+        {"add", corpus / "shard-0004.tlc"},
+    };
+    for (std::size_t c = 0; c < changes.size(); ++c) {
+        const auto &[change, target] = changes[c];
+        if (change == "rewrite")
+            ASSERT_TRUE(fs::exists(target));
+        fs::rename(donor[c], target);
+
+        // A fresh single node over the changed corpus is the oracle.
+        Daemon fresh = startWorker();
+        Session freshSession = connect(fresh);
+        for (std::size_t q = 0; q < queries.size(); ++q) {
+            const auto &[method, params] = queries[q];
+            const std::uint64_t before =
+                workerRequests({&worker1, &worker2});
+            const std::string changed =
+                answer(coordSession, method, params);
+            EXPECT_GT(workerRequests({&worker1, &worker2}), before)
+                << change << ": " << methodName(method)
+                << " was answered from the cache";
+            EXPECT_NE(changed, original[q])
+                << change << ": " << methodName(method);
+            EXPECT_EQ(changed, answer(freshSession, method, params))
+                << change << ": " << methodName(method);
+        }
+    }
+}
+
+TEST_F(ClusterTest, ComponentFiltersAreCachedApart)
+{
+    Daemon worker1 = startWorker();
+    Daemon worker2 = startWorker();
+    Daemon coord = startCoordinator(
+        {worker1.address(), worker2.address()});
+    Daemon single = startWorker();
+    Session coordSession = connect(coord);
+    Session singleSession = connect(single);
+
+    const std::vector<std::vector<std::string>> filters = {
+        {"fs.sys", "stor.sys"}, {"net.sys", "ndis.sys"}};
+    for (const Method method : {Method::Analyze, Method::Impact}) {
+        std::vector<std::string> answers;
+        for (const std::vector<std::string> &filter : filters) {
+            JsonValue params = analyzeRequest().toParams();
+            JsonValue list = JsonValue::makeArray();
+            for (const std::string &component : filter)
+                list.push(JsonValue(component));
+            params.set("components", std::move(list));
+            answers.push_back(answer(coordSession, method, params));
+            EXPECT_EQ(answers.back(),
+                      answer(singleSession, method, params))
+                << methodName(method) << " with " << filter.front();
+        }
+        EXPECT_NE(answers[0], answers[1]) << methodName(method);
+    }
+}
+
+TEST_F(ClusterTest, DegradedAnswersAreNotServedAgain)
+{
+    // Reserve a port, then leave it closed until the worker returns.
+    Daemon doomed = startWorker();
+    const std::uint16_t port = doomed.port;
+    stopDaemon(doomed);
+
+    Daemon coord = startCoordinator({doomed.address()}, 2000);
+    Session coordSession = connect(coord);
+    const JsonValue params = analyzeRequest().toParams();
+    Expected<Response> degraded =
+        coordSession.call(Method::Analyze, params);
+    ASSERT_TRUE(degraded.ok()) << degraded.error().render();
+    ASSERT_TRUE(degraded.value().ok) << degraded.value().error.message;
+    ASSERT_NE(degraded.value().result.find("partial_results"), nullptr);
+
+    ServerConfig config;
+    config.host = "127.0.0.1";
+    config.port = port;
+    Daemon revived;
+    revived.server = std::make_unique<Server>(config);
+    Expected<std::uint16_t> bound = revived.server->start();
+    ASSERT_TRUE(bound.ok()) << bound.error().render();
+
+    Daemon single = startWorker();
+    Session singleSession = connect(single);
+    const std::string full = answer(coordSession, Method::Analyze, params);
+    EXPECT_EQ(full.find("partial_results"), std::string::npos);
+    EXPECT_EQ(full, answer(singleSession, Method::Analyze, params));
+}
+
+TEST_F(ClusterTest, WorkerPartialsLeaveTheResponseCacheEmpty)
+{
+    Daemon worker = startWorker();
+    Session session = connect(worker);
+
+    JsonValue params = JsonValue::makeObject();
+    params.set("corpus",
+               JsonValue((fs::path(corpusDir_) / "shard-0000.tlc")
+                             .string()));
+    params.set("scenario", JsonValue("BrowserTabCreate"));
+    params.set("tfast_ms", JsonValue(100.0));
+    params.set("tslow_ms", JsonValue(500.0));
+    for (int round = 0; round < 2; ++round) {
+        for (const Method method : {Method::AnalyzePartial,
+                                    Method::MinePartial,
+                                    Method::ImpactPartial})
+            answer(session, method, params);
+    }
+    JsonValue cache = responseCacheStats(session);
+    EXPECT_EQ(cache.find("entries")->asNumber(), 0.0);
+    EXPECT_EQ(cache.find("bytes")->asNumber(), 0.0);
+
+    // The same node still caches the answers it renders itself.
+    answer(session, Method::Analyze, analyzeRequest().toParams());
+    cache = responseCacheStats(session);
+    EXPECT_EQ(cache.find("entries")->asNumber(), 1.0);
+    EXPECT_GT(cache.find("bytes")->asNumber(), 0.0);
+}
+
+TEST_F(ClusterTest, ConcurrentClientsShareTheCoordinatorCache)
+{
+    Daemon worker1 = startWorker();
+    Daemon worker2 = startWorker();
+    Daemon coord = startCoordinator(
+        {worker1.address(), worker2.address()});
+    Daemon single = startWorker();
+    Session singleSession = connect(single);
+
+    const std::vector<JsonValue> params = {
+        analyzeParams(280, 520), analyzeParams(300, 480),
+        analyzeParams(320, 600)};
+    std::vector<std::string> expected;
+    for (const JsonValue &p : params)
+        expected.push_back(answer(singleSession, Method::Analyze, p));
+
+    // Four clients race misses and hits on the same three keys.
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < 4; ++c) {
+        clients.emplace_back([&, c] {
+            Session session = connect(coord);
+            for (int i = 0; i < 6; ++i) {
+                const std::size_t k =
+                    static_cast<std::size_t>(c + i) % params.size();
+                if (answer(session, Method::Analyze, params[k]) !=
+                    expected[k])
+                    ++mismatches;
+            }
+        });
+    }
+    for (std::thread &client : clients)
+        client.join();
+    EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST_F(ClusterTest, GatherSpansSplitIntoScatterDecodeAndFold)
+{
+    Daemon worker1 = startWorker();
+    Daemon worker2 = startWorker();
+    Daemon coord = startCoordinator(
+        {worker1.address(), worker2.address()});
+
+    Telemetry::setEnabled(true);
+    Telemetry::reset();
+    Session session = connect(coord);
+    ImpactRequest impact;
+    impact.corpus = corpusDir_;
+    answer(session, Method::Analyze, analyzeRequest().toParams());
+    answer(session, Method::Impact, impact.toParams());
+    // An exact repeat is a coordinator cache hit.
+    answer(session, Method::Analyze, analyzeRequest().toParams());
+
+    const std::vector<SpanSnapshot> spans = Telemetry::snapshotSpans();
+    for (const char *gather :
+         {"coordinator.gather-scenario", "coordinator.gather-impact"}) {
+        std::vector<const SpanSnapshot *> roots;
+        for (const SpanSnapshot &span : spans)
+            if (span.name == gather)
+                roots.push_back(&span);
+        ASSERT_EQ(roots.size(), 1u) << gather;
+        std::set<std::string> children;
+        for (const SpanSnapshot &span : spans)
+            if (span.parentSpanId == roots[0]->spanId)
+                children.insert(span.name);
+        EXPECT_EQ(children,
+                  (std::set<std::string>{"coordinator.scatter",
+                                         "coordinator.decode",
+                                         "coordinator.fold"}))
+            << gather;
+    }
+    // Workers cache nothing, so the one hit is the coordinator's.
+    EXPECT_EQ(std::count_if(spans.begin(), spans.end(),
+                            [](const SpanSnapshot &span) {
+                                return span.name ==
+                                       "server.response-cache-hit";
+                            }),
+              1);
+
+    Telemetry::setEnabled(false);
+    Telemetry::reset();
+}
+
 // ------------------------------------------------------ failure handling
 
 TEST_F(ClusterTest, StoppedWorkerIsRetriedOnItsReplica)
@@ -321,6 +641,7 @@ TEST_F(ClusterTest, StoppedWorkerIsRetriedOnItsReplica)
     Daemon worker2 = startWorker();
     Daemon coord = startCoordinator(
         {worker1.address(), worker2.address()});
+    Daemon single = startWorker();
 
     Session before = connect(coord);
     Expected<Response> baseline = before.analyze(analyzeRequest());
@@ -328,19 +649,37 @@ TEST_F(ClusterTest, StoppedWorkerIsRetriedOnItsReplica)
     ASSERT_TRUE(baseline.value().ok)
         << baseline.value().error.message;
 
-    // Kill one worker; its shards must be answered by the survivor.
-    stopDaemon(worker1);
+    // Kill the owner of the first shard, so at least one shard must
+    // be answered by its replica, the survivor. The coordinator
+    // answers an exact repeat from its cache, so the query that must
+    // reach the workers uses fresh thresholds.
+    const HashRing ring({worker1.address(), worker2.address()});
+    const bool firstOwns =
+        ring.primary((fs::path(corpusDir_) / "shard-0000.tlc").string()) ==
+        0;
+    Daemon &survivor = firstOwns ? worker2 : worker1;
+    stopDaemon(firstOwns ? worker1 : worker2);
 
     Session after = connect(coord);
-    Expected<Response> retried = after.analyze(analyzeRequest());
+    const JsonValue fresh = analyzeParams(280, 520);
+    const std::uint64_t survivorBefore = workerRequests({&survivor});
+    Expected<Response> retried = after.call(Method::Analyze, fresh);
     ASSERT_TRUE(retried.ok()) << retried.error().render();
     ASSERT_TRUE(retried.value().ok)
         << retried.value().error.message;
-    // The retried gather is still a *full* gather: byte-identical,
-    // no degradation markers.
+    EXPECT_GE(workerRequests({&survivor}) - survivorBefore, 4u)
+        << "the survivor must answer every shard";
+    // The retried gather is still a *full* gather: byte-identical to
+    // the single node, no degradation markers.
+    Session singleSession = connect(single);
     EXPECT_EQ(retried.value().result.render(),
-              baseline.value().result.render());
+              answer(singleSession, Method::Analyze, fresh));
     EXPECT_EQ(retried.value().result.find("partial_results"), nullptr);
+
+    Expected<Response> repeated = after.analyze(analyzeRequest());
+    ASSERT_TRUE(repeated.ok());
+    EXPECT_EQ(repeated.value().result.render(),
+              baseline.value().result.render());
 }
 
 TEST_F(ClusterTest, SoleWorkerDownDegradesInsideTheDeadline)

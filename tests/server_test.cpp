@@ -31,6 +31,8 @@
 #include "src/mining/knowledge.h"
 #include "src/server/client.h"
 #include "src/server/protocol.h"
+#include "src/server/registry.h"
+#include "src/server/responsecache.h"
 #include "src/server/server.h"
 #include "src/trace/serialize.h"
 #include "src/trace/source.h"
@@ -900,6 +902,122 @@ TEST_F(ServerTest, RegistryEvictionSurvivesConcurrentHandleChurn)
         << "zero idle timeout + LRU bound of one must have evicted";
     registry.evictAll();
     EXPECT_EQ(registry.stats().openSessions, 0u);
+}
+
+/** Cache key number @p i. */
+Digest
+cacheKey(std::uint64_t i)
+{
+    Digest key;
+    key.mix(i);
+    return key;
+}
+
+TEST(ResponseCache, EvictsTheLeastRecentlyUsedPastItsBudget)
+{
+    const std::string line(100, 'x');
+    const std::size_t cost = line.size() + ResponseCache::kEntryOverheadBytes;
+    ResponseCache cache(3 * cost);
+    for (std::uint64_t i = 1; i <= 3; ++i)
+        cache.insert(cacheKey(i), std::make_shared<const std::string>(line));
+    EXPECT_EQ(cache.entries(), 3u);
+    EXPECT_EQ(cache.bytes(), 3 * cost);
+
+    // A recent repeat of key 1 makes key 2 the oldest: the fourth
+    // entry evicts it, and key 1 still hits.
+    ASSERT_NE(cache.find(cacheKey(1)), nullptr);
+    cache.insert(cacheKey(4), std::make_shared<const std::string>(line));
+    EXPECT_EQ(cache.find(cacheKey(2)), nullptr);
+    EXPECT_NE(cache.find(cacheKey(1)), nullptr);
+    EXPECT_NE(cache.find(cacheKey(3)), nullptr);
+    EXPECT_NE(cache.find(cacheKey(4)), nullptr);
+    EXPECT_EQ(cache.entries(), 3u);
+    EXPECT_EQ(cache.bytes(), 3 * cost);
+
+    // Re-inserting a key replaces its line without growing the cache;
+    // a line larger than the whole budget is not cached at all.
+    cache.insert(cacheKey(4), std::make_shared<const std::string>("y"));
+    EXPECT_EQ(*cache.find(cacheKey(4)), "y");
+    EXPECT_EQ(cache.entries(), 3u);
+    cache.insert(cacheKey(5),
+                 std::make_shared<const std::string>(4 * cost, 'z'));
+    EXPECT_EQ(cache.find(cacheKey(5)), nullptr);
+    EXPECT_EQ(cache.entries(), 3u);
+
+    cache.clear();
+    EXPECT_EQ(cache.entries(), 0u);
+    EXPECT_EQ(cache.bytes(), 0u);
+}
+
+TEST(ResponseCache, ConcurrentClientsStayWithinTheBudget)
+{
+    const std::size_t cost = 10 + ResponseCache::kEntryOverheadBytes;
+    ResponseCache cache(64 * cost);
+    std::vector<std::thread> clients;
+    for (std::uint64_t c = 0; c < 4; ++c) {
+        clients.emplace_back([&cache, c] {
+            for (std::uint64_t i = 0; i < 2000; ++i) {
+                const Digest key = cacheKey(i % 97 + c * 1000);
+                if (cache.find(key) == nullptr)
+                    cache.insert(key, std::make_shared<const std::string>(
+                                          10, 'a'));
+            }
+        });
+    }
+    for (std::thread &client : clients)
+        client.join();
+    EXPECT_EQ(cache.entries(), 64u);
+    EXPECT_EQ(cache.bytes(), 64 * cost);
+}
+
+TEST(SessionRegistry, AbsorbedShardEmptiesTheResponseCache)
+{
+    ScratchDir scratch("absorb");
+    CorpusSpec spec;
+    spec.machines = 4;
+    spec.seed = 11;
+    const std::string path = (scratch.path() / "corpus.tlc").string();
+    writeCorpusFile(generateCorpus(spec), path);
+
+    SessionRegistry registry;
+    Expected<SessionRegistry::Handle> session = registry.acquire(path);
+    ASSERT_TRUE(session.ok()) << session.error().render();
+    session.value()->responses().insert(
+        cacheKey(1), std::make_shared<const std::string>("{}"));
+    EXPECT_EQ(registry.stats().cachedResponses, 1u);
+
+    // The new corpus digest orphans every cached key: drop them.
+    spec.seed = 12;
+    session.value()->absorbShard(generateCorpus(spec));
+    EXPECT_EQ(session.value()->responses().entries(), 0u);
+    EXPECT_EQ(registry.stats().cachedResponses, 0u);
+}
+
+TEST(SessionRegistry, RewrittenFileReopensItsSession)
+{
+    ScratchDir scratch("rewrite");
+    CorpusSpec spec;
+    spec.machines = 4;
+    spec.seed = 11;
+    const std::string path = (scratch.path() / "corpus.tlc").string();
+    writeCorpusFile(generateCorpus(spec), path);
+
+    SessionRegistry registry;
+    Expected<SessionRegistry::Handle> first = registry.acquire(path);
+    ASSERT_TRUE(first.ok());
+    const Digest before = first.value()->corpusDigest();
+    first = SessionRegistry::Handle();
+    EXPECT_EQ(registry.acquire(path).value()->corpusDigest(), before);
+    EXPECT_EQ(registry.stats().opened, 1u);
+
+    const std::string staged = path + ".tmp";
+    spec.seed = 12;
+    writeCorpusFile(generateCorpus(spec), staged);
+    fs::rename(staged, path);
+    Expected<SessionRegistry::Handle> reopened = registry.acquire(path);
+    ASSERT_TRUE(reopened.ok());
+    EXPECT_FALSE(reopened.value()->corpusDigest() == before);
+    EXPECT_EQ(registry.stats().opened, 2u);
 }
 
 TEST(ServerUtil, ParseHostPort)
