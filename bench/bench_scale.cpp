@@ -276,10 +276,10 @@ main(int argc, char **argv)
 
     // ---- artifact cache: cold vs warm full pipeline ----------------
     // The same corpus and scenario set analyzed twice through a disk
-    // artifact cache: the cold run computes and persists every
-    // wait-graph bundle and AWG, the warm run (a fresh Analyzer, as a
-    // new process would be) restores them and only recomputes the
-    // cheap memory-only stages.
+    // artifact cache: the cold run builds and persists every
+    // wait-graph bundle, the warm run (a fresh Analyzer, as a new
+    // process would be) restores them and recomputes only what
+    // follows the graphs: classes, impact, AWGs and mining.
     const std::filesystem::path cache_dir =
         std::filesystem::temp_directory_path() /
         "tracelens_bench_artifact_cache";

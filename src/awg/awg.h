@@ -131,8 +131,6 @@ class AggregatedWaitGraph
 
   private:
     friend class AwgBuilder;
-    /** Binary artifact-cache codec (src/core/artifacts.cpp). */
-    friend struct AwgCodec;
     /** The trie-under-construction accumulator (src/core/partial.h). */
     friend class PartialAwg;
 

@@ -1,8 +1,8 @@
 /**
  * @file
- * Analyzer: per-shard ingestion with content digesting, the artifact
- * stage graph (wait graphs -> classes/impact -> AWGs -> mining), and
- * the multi-scenario fan-out.
+ * Analyzer: per-shard ingestion with content digesting, the cached
+ * per-shard wait graphs, the analysis chain over them (classes ->
+ * impact -> AWGs -> mining), and the multi-scenario fan-out.
  */
 
 #include "src/core/analyzer.h"
@@ -20,6 +20,29 @@ namespace tracelens
 
 namespace
 {
+
+/** Bumped whenever a wait graph's content changes for equal inputs. */
+constexpr std::uint64_t kSchemaVersion = 1;
+
+/**
+ * The wait-graph key's config fingerprint: exactly the options that
+ * can change a wait graph (the component filter and the wait-graph
+ * options) plus the schema version — never the thread count.
+ */
+Digest
+waitGraphFingerprint(const AnalyzerConfig &config)
+{
+    Digest fingerprint;
+    fingerprint.mix(kSchemaVersion);
+    fingerprint.mix(static_cast<std::uint64_t>(config.components.size()));
+    for (const std::string &component : config.components)
+        fingerprint.mix(std::string_view(component));
+    fingerprint.mix(config.waitGraph.maxDepth)
+        .mix(config.waitGraph.maxNodes)
+        .mix(static_cast<std::uint64_t>(config.waitGraph.containmentOnly))
+        .mix(static_cast<std::uint64_t>(config.waitGraph.clipToWindows));
+    return fingerprint;
+}
 
 /**
  * The graphs at @p indices of @p all. Copies are handles sharing
@@ -61,9 +84,10 @@ ScenarioAnalysis::nonOptimizableShare() const
 
 Analyzer::Analyzer(TraceSource &source, AnalyzerConfig config)
     : source_(&source), config_(std::move(config)),
-      components_(config_.components), store_(config_.artifactCacheDir)
+      components_(config_.components),
+      fpWaitGraph_(waitGraphFingerprint(config_)),
+      store_(config_.artifactCacheDir)
 {
-    computeFingerprints();
     // Decode and digest shards in parallel; absorb them serially in
     // shard order, so interning order and the digest chain match a
     // serial ingest exactly.
@@ -95,36 +119,6 @@ Analyzer::Analyzer(TraceSource &source, AnalyzerConfig config)
             absorb(*decoded.shard.value(), decoded.shard.value(),
                    decoded.digest);
         });
-}
-
-void
-Analyzer::computeFingerprints()
-{
-    Digest base;
-    base.mix(kSchemaVersion);
-    base.mix(static_cast<std::uint64_t>(config_.components.size()));
-    for (const std::string &component : config_.components)
-        base.mix(std::string_view(component));
-
-    fpWaitGraph_ = base;
-    fpWaitGraph_.mix(config_.waitGraph.maxDepth)
-        .mix(config_.waitGraph.maxNodes)
-        .mix(static_cast<std::uint64_t>(config_.waitGraph.containmentOnly))
-        .mix(static_cast<std::uint64_t>(config_.waitGraph.clipToWindows));
-
-    // Classification reads only instance durations, so its fingerprint
-    // carries no component or graph options.
-    fpClasses_ = Digest{};
-    fpClasses_.mix(kSchemaVersion);
-
-    fpAwg_ = fpWaitGraph_;
-    fpAwg_.mix(static_cast<std::uint64_t>(
-                   config_.awg.eliminateInnerIrrelevant))
-        .mix(static_cast<std::uint64_t>(config_.awg.reduceNonOptimizable));
-
-    fpMining_ = fpAwg_;
-    fpMining_.mix(config_.maxSegmentLength)
-        .mix(static_cast<std::uint64_t>(config_.useMetaPatternGate));
 }
 
 void
@@ -192,16 +186,6 @@ Analyzer::chainTip() const
     return shards_.empty() ? kEmptyChain : shards_.back().chain;
 }
 
-Digest
-Analyzer::stageKey(const Digest &fingerprint, std::string_view salt,
-                   const Digest &input)
-{
-    Digest key = fingerprint;
-    key.mix(salt);
-    key.mix(input);
-    return key;
-}
-
 const std::vector<WaitGraph> &
 Analyzer::graphs() const
 {
@@ -222,8 +206,8 @@ Analyzer::graphs() const
             // Keyed by the shard's *chain* digest: a shard's graphs
             // depend on the merged corpus' stream indices and interned
             // ids, which the prefix shards determine.
-            const Digest key =
-                stageKey(fpWaitGraph_, "waitgraphs", shard.chain);
+            Digest key = fpWaitGraph_;
+            key.mix(std::string_view("waitgraphs")).mix(shard.chain);
             auto bundle = store_.waitGraphs(key, [&] {
                 return builder.buildRangeParallel(
                     shard.firstInstance, shard.instanceCount, threads);
@@ -239,25 +223,15 @@ Analyzer::graphs() const
 ImpactResult
 Analyzer::impactAll() const
 {
-    const Digest key = stageKey(fpWaitGraph_, "impact:all", chainTip());
-    auto result = store_.get<ImpactResult>(Stage::Impact, key, [&] {
-        ImpactAnalysis impact(*corpus_, components_);
-        return impact.analyze(graphs(), config_.threads);
-    });
-    return *result;
+    return ImpactAnalysis(*corpus_, components_)
+        .analyze(graphs(), config_.threads);
 }
 
 std::unordered_map<std::uint32_t, ImpactResult>
 Analyzer::impactPerScenario() const
 {
-    const Digest key =
-        stageKey(fpWaitGraph_, "impact:per-scenario", chainTip());
-    using Map = std::unordered_map<std::uint32_t, ImpactResult>;
-    auto result = store_.get<Map>(Stage::Impact, key, [&] {
-        ImpactAnalysis impact(*corpus_, components_);
-        return impact.analyzePerScenario(graphs(), config_.threads);
-    });
-    return *result;
+    return ImpactAnalysis(*corpus_, components_)
+        .analyzePerScenario(graphs(), config_.threads);
 }
 
 ContrastClasses
@@ -265,53 +239,30 @@ Analyzer::classify(std::uint32_t scenario, DurationNs t_fast,
                    DurationNs t_slow) const
 {
     TL_ASSERT(t_fast > 0 && t_slow > t_fast, "bad thresholds");
-    Digest key = stageKey(fpClasses_, "classes", chainTip());
-    key.mix(scenario)
-        .mix(static_cast<std::uint64_t>(t_fast))
-        .mix(static_cast<std::uint64_t>(t_slow));
-    auto classes = store_.get<ContrastClasses>(Stage::Classes, key, [&] {
-        ContrastClasses result;
-        // T_fast/T_slow classification as a sweep over the instance
-        // columns — two small arrays instead of the full records.
-        const auto scenarios = corpus_->instanceScenarios();
-        const auto durations = corpus_->instanceDurations();
-        for (std::uint32_t i = 0; i < scenarios.size(); ++i) {
-            if (scenarios[i] != scenario)
-                continue;
-            const DurationNs duration = durations[i];
-            if (duration < t_fast)
-                result.fast.push_back(i);
-            else if (duration > t_slow)
-                result.slow.push_back(i);
-            else
-                result.middle.push_back(i);
-        }
-        return result;
-    });
-    return *classes;
+    ContrastClasses result;
+    // T_fast/T_slow classification as a sweep over the instance
+    // columns — two small arrays instead of the full records.
+    const auto scenarios = corpus_->instanceScenarios();
+    const auto durations = corpus_->instanceDurations();
+    for (std::uint32_t i = 0; i < scenarios.size(); ++i) {
+        if (scenarios[i] != scenario)
+            continue;
+        const DurationNs duration = durations[i];
+        if (duration < t_fast)
+            result.fast.push_back(i);
+        else if (duration > t_slow)
+            result.slow.push_back(i);
+        else
+            result.middle.push_back(i);
+    }
+    return result;
 }
 
 ScenarioPartial
-Analyzer::scenarioPartial(std::string_view name, DurationNs t_fast,
-                          DurationNs t_slow) const
+Analyzer::contrastPartial(const ContrastClasses &classes,
+                          unsigned threads) const
 {
-    Span span("analyzer.scenario-partial", "analysis");
-    if (span.active())
-        span.arg("scenario", std::string(name));
-
     ScenarioPartial partial;
-    partial.streamCount =
-        static_cast<std::uint32_t>(corpus_->streamCount());
-    const SymbolTable &symbols = corpus_->symbols();
-    partial.frames.reserve(symbols.frameCount());
-    for (FrameId f = 0; f < symbols.frameCount(); ++f)
-        partial.frames.push_back(symbols.frameName(f));
-
-    const std::uint32_t scenario = corpus_->findScenario(name);
-    if (scenario == UINT32_MAX)
-        return partial; // no instances here: empty, still mergeable
-
-    const ContrastClasses classes = classify(scenario, t_fast, t_slow);
     partial.classes.fast = classes.fast.size();
     partial.classes.middle = classes.middle.size();
     partial.classes.slow = classes.slow.size();
@@ -325,13 +276,38 @@ Analyzer::scenarioPartial(std::string_view name, DurationNs t_fast,
 
     ImpactAnalysis impact(*corpus_, components_);
     partial.slowImpact =
-        impact.analyzePartial(gather(classes.slow), config_.threads);
+        impact.analyzePartial(gather(classes.slow), threads);
 
     AwgBuilder builder(*corpus_, components_, config_.awg);
     partial.awgFast =
-        builder.aggregatePartial(gather(classes.fast), config_.threads);
+        builder.aggregatePartial(gather(classes.fast), threads);
     partial.awgSlow =
-        builder.aggregatePartial(gather(classes.slow), config_.threads);
+        builder.aggregatePartial(gather(classes.slow), threads);
+    return partial;
+}
+
+ScenarioPartial
+Analyzer::scenarioPartial(std::string_view name, DurationNs t_fast,
+                          DurationNs t_slow) const
+{
+    Span span("analyzer.scenario-partial", "analysis");
+    if (span.active())
+        span.arg("scenario", std::string(name));
+
+    // A scenario absent here yields empty partials, still mergeable.
+    const std::uint32_t scenario = corpus_->findScenario(name);
+    ScenarioPartial partial =
+        scenario == UINT32_MAX
+            ? ScenarioPartial{}
+            : contrastPartial(classify(scenario, t_fast, t_slow),
+                              config_.threads);
+
+    partial.streamCount =
+        static_cast<std::uint32_t>(corpus_->streamCount());
+    const SymbolTable &symbols = corpus_->symbols();
+    partial.frames.reserve(symbols.frameCount());
+    for (FrameId f = 0; f < symbols.frameCount(); ++f)
+        partial.frames.push_back(symbols.frameName(f));
     return partial;
 }
 
@@ -396,60 +372,28 @@ Analyzer::analyzeScenarioWithThreads(std::string_view name,
     analysis.tSlow = t_slow;
     analysis.classes = classify(scenario, t_fast, t_slow);
 
-    // Per-scenario stage keys share this suffix: the data chain plus
-    // the (scenario, thresholds) coordinates of the contrast classes.
-    Digest coords = chainTip();
-    coords.mix(scenario)
-        .mix(static_cast<std::uint64_t>(t_fast))
-        .mix(static_cast<std::uint64_t>(t_slow));
+    // The partials of the whole corpus, finalized in place: exactly
+    // ImpactAnalysis::analyze and AwgBuilder::aggregate, with no fold.
+    ScenarioPartial partial = contrastPartial(analysis.classes, threads);
+    analysis.slowImpact = partial.slowImpact.finalize();
+    analysis.slowDuration = partial.classes.slowDuration;
+    analysis.awgFast =
+        partial.awgFast.finalize(config_.awg.reduceNonOptimizable);
+    analysis.awgSlow =
+        partial.awgSlow.finalize(config_.awg.reduceNonOptimizable);
 
-    auto gather = [&](const std::vector<std::uint32_t> &indices) {
-        return gatherGraphs(graphs(), indices);
-    };
-
-    auto slowImpact = store_.get<ImpactResult>(
-        Stage::Impact, stageKey(fpWaitGraph_, "impact:slow", coords),
-        [&] {
-            ImpactAnalysis impact(*corpus_, components_);
-            return impact.analyze(gather(analysis.classes.slow),
-                                  threads);
-        });
-    analysis.slowImpact = *slowImpact;
-    for (std::uint32_t i : analysis.classes.slow)
-        analysis.slowDuration += corpus_->instances()[i].duration();
-
-    auto awgFast = store_.awg(
-        stageKey(fpAwg_, "awg:fast", coords), [&] {
-            AwgBuilder builder(*corpus_, components_, config_.awg);
-            return builder.aggregate(gather(analysis.classes.fast),
-                                     threads);
-        });
-    auto awgSlow = store_.awg(
-        stageKey(fpAwg_, "awg:slow", coords), [&] {
-            AwgBuilder builder(*corpus_, components_, config_.awg);
-            return builder.aggregate(gather(analysis.classes.slow),
-                                     threads);
-        });
-    analysis.awgFast = *awgFast;
-    analysis.awgSlow = *awgSlow;
-
-    auto mining = store_.get<MiningResult>(
-        Stage::Mining, stageKey(fpMining_, "mining", coords), [&] {
-            MiningOptions mining_options;
-            mining_options.maxSegmentLength = config_.maxSegmentLength;
-            mining_options.tFast = t_fast;
-            mining_options.tSlow = t_slow;
-            mining_options.useMetaPatternGate =
-                config_.useMetaPatternGate;
-            ContrastMiner miner(*corpus_, mining_options);
-            return miner.mine(*awgFast, *awgSlow, threads);
-        });
-    analysis.mining = *mining;
+    MiningOptions mining_options;
+    mining_options.maxSegmentLength = config_.maxSegmentLength;
+    mining_options.tFast = t_fast;
+    mining_options.tSlow = t_slow;
+    mining_options.useMetaPatternGate = config_.useMetaPatternGate;
+    analysis.mining = ContrastMiner(*corpus_, mining_options)
+                          .mine(analysis.awgFast, analysis.awgSlow,
+                                threads);
 
     // RQ1 denominator: the total driver cost as aggregated — the kept
     // graph plus the non-optimizable portion removed by ReduceAWG
-    // (Section 5.2.2 accounts exactly this way). Cheap to derive, so
-    // not memoized.
+    // (Section 5.2.2 accounts exactly this way).
     analysis.coverage = computeCoverage(
         analysis.mining,
         analysis.awgSlow.reducedCost() + analysis.awgSlow.totalRootCost(),

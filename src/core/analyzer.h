@@ -1,8 +1,8 @@
 /**
  * @file
  * The TraceLens pipeline facade: the full two-step analysis of the
- * paper over a trace corpus, restructured as an explicit stage graph
- * over an artifact store.
+ * paper over a trace corpus, computed from cached per-shard wait
+ * graphs.
  *
  * Step 1 (impact analysis, Section 3): corpus-wide and per-scenario
  * IA_run / IA_wait / IA_opt for a chosen component filter.
@@ -12,23 +12,24 @@
  * the two Aggregated Wait Graphs, mine ranked contrast patterns, and
  * compute the RQ1 coverage figures.
  *
- * Every derived result is an *artifact* in an ArtifactStore
- * (src/core/artifacts.h), keyed by a content hash of its inputs: the
- * digest chain of the ingested shards plus a fingerprint of the
- * relevant configuration. Two consequences:
+ * Each shard's wait graphs are an *artifact* in an ArtifactStore
+ * (src/core/artifacts.h), keyed by a content hash of their inputs: the
+ * digest chain of the ingested shards up to that one plus a
+ * fingerprint of the wait-graph configuration. Everything downstream
+ * — classes, impact, AWGs, mining — is a plain computation over those
+ * graphs, redone per call. Two consequences:
  *
  *  - Incrementality: addStreams() appends trace data and invalidates
- *    nothing that was derived from the existing shards — only the new
- *    shard's artifacts (and whole-corpus aggregates) rebuild. The
- *    results are bit-identical to a cold analysis of the merged
- *    corpus (asserted by tests/incremental_test.cpp).
+ *    no existing shard's wait graphs — only the new shard's bundle
+ *    builds. The results are bit-identical to a cold analysis of the
+ *    merged corpus (asserted by tests/incremental_test.cpp).
  *  - Warm starts: with AnalyzerConfig::artifactCacheDir set, wait
- *    graphs and AWGs persist to disk and a later process reuses them.
+ *    graphs persist to disk and a later process reuses them.
  *
  * Keys exclude the thread count: every stage merges per-shard results
  * deterministically, so analysis output is bit-identical for every
  * thread count (see docs/ARCHITECTURE.md for the threading model and
- * the stage-graph key derivation).
+ * the key derivation).
  */
 
 #ifndef TRACELENS_CORE_ANALYZER_H
@@ -78,8 +79,8 @@ struct AnalyzerConfig
      */
     unsigned threads = 0;
     /**
-     * Directory for the on-disk artifact cache (wait-graph bundles and
-     * AWGs survive the process; CLI: --artifact-cache DIR). Empty
+     * Directory for the on-disk artifact cache (wait-graph bundles
+     * survive the process; CLI: --artifact-cache DIR). Empty
      * (default) = in-memory memoization only.
      */
     std::string artifactCacheDir;
@@ -145,11 +146,10 @@ class Analyzer
 
     /**
      * Append @p part's streams and instances to the analysis corpus
-     * as one additional shard. Artifacts derived from the existing
-     * shards keep their keys and are served from the store; only the
-     * new shard's wait graphs and the whole-corpus aggregates
-     * (impact, classes, AWGs, mining) rebuild. Results are
-     * bit-identical to analyzing the merged corpus cold.
+     * as one additional shard. The existing shards' wait graphs keep
+     * their keys and are served from the store; only the new shard's
+     * bundle builds. Results are bit-identical to analyzing the
+     * merged corpus cold.
      *
      * Not thread-safe against concurrent analysis calls; references
      * previously returned by corpus() and graphs() are invalidated.
@@ -163,7 +163,8 @@ class Analyzer
     std::unordered_map<std::uint32_t, ImpactResult>
     impactPerScenario() const;
 
-    /** Classify one scenario's instances against thresholds. */
+    /** Classify one scenario's instances against thresholds (a
+     *  sweep over the instance columns). */
     ContrastClasses classify(std::uint32_t scenario, DurationNs t_fast,
                              DurationNs t_slow) const;
 
@@ -221,21 +222,21 @@ class Analyzer
 
     /**
      * Content digest of the whole ingested corpus (the shard-chain
-     * tip every whole-corpus artifact key hashes). Two analyzers over
+     * tip). Two analyzers over
      * identical shard sequences report equal digests, which is what
      * the analysis service keys its response cache on.
      */
     const Digest &corpusDigest() const { return chainTip(); }
 
-    /** Snapshot of the per-stage artifact-cache counters. */
+    /** Snapshot of the wait-graph cache counters. */
     PipelineStats pipelineStats() const { return store_.stats(); }
 
   private:
     /**
      * One ingested shard: its content digest, the running chain
-     * digest over all shards up to and including it (artifact keys
+     * digest over all shards up to and including it (wait-graph keys
      * hash the chain, so a change anywhere in the prefix invalidates
-     * every later shard's artifacts), and its instance range in the
+     * every later shard's bundle), and its instance range in the
      * merged corpus.
      */
     struct ShardRecord
@@ -245,9 +246,6 @@ class Analyzer
         std::uint32_t firstInstance = 0;
         std::uint32_t instanceCount = 0;
     };
-
-    /** Derive the per-stage config fingerprints (constructor). */
-    void computeFingerprints();
 
     /**
      * Ingest @p part, whose digestCorpus() is @p digest, as the next
@@ -265,9 +263,13 @@ class Analyzer
     /** Chain digest over all ingested shards (seed when none). */
     const Digest &chainTip() const;
 
-    /** fingerprint + stage salt + input digest -> artifact key. */
-    static Digest stageKey(const Digest &fingerprint,
-                           std::string_view salt, const Digest &input);
+    /**
+     * The body analyzeScenario and scenarioPartial share: the
+     * slow-class impact accumulator and the fast/slow AWG tries of
+     * @p classes, plus the class tallies. No frame table.
+     */
+    ScenarioPartial contrastPartial(const ContrastClasses &classes,
+                                    unsigned threads) const;
 
     /** analyzeScenario with an explicit stage-level thread count. */
     ScenarioAnalysis analyzeScenarioWithThreads(std::string_view name,
@@ -286,11 +288,7 @@ class Analyzer
     const TraceCorpus *corpus_ = &ownedCorpus_;
 
     std::vector<ShardRecord> shards_;
-    static constexpr std::uint64_t kSchemaVersion = 1;
     Digest fpWaitGraph_; //!< components + wait-graph options.
-    Digest fpClasses_;   //!< thresholds-only stage (no components).
-    Digest fpAwg_;       //!< fpWaitGraph_ + AWG options.
-    Digest fpMining_;    //!< fpAwg_ + mining options.
 
     mutable ArtifactStore store_;
     mutable std::mutex graphsMutex_;

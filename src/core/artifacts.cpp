@@ -1,8 +1,7 @@
 /**
  * @file
- * ArtifactStore: thread-safe keyed memoization with an optional
- * on-disk cache, plus the binary codecs for the two disk-backed
- * artifact kinds (wait-graph bundles and AWGs).
+ * ArtifactStore: thread-safe keyed memoization of wait-graph bundles
+ * with an optional on-disk cache, plus the bundles' binary codec.
  *
  * Disk format ("TLA1"):
  *
@@ -169,41 +168,9 @@ stageName(Stage stage)
     switch (stage) {
     case Stage::WaitGraphs:
         return "wait-graphs";
-    case Stage::Classes:
-        return "classes";
-    case Stage::Impact:
-        return "impact";
-    case Stage::Awg:
-        return "awg";
-    case Stage::Mining:
-        return "mining";
     }
     return "unknown";
 }
-
-namespace
-{
-
-/** Span name literal per stage (span names must outlive the flush). */
-const char *
-stageSpanName(Stage stage)
-{
-    switch (stage) {
-    case Stage::WaitGraphs:
-        return "stage.wait-graphs";
-    case Stage::Classes:
-        return "stage.classes";
-    case Stage::Impact:
-        return "stage.impact";
-    case Stage::Awg:
-        return "stage.awg";
-    case Stage::Mining:
-        return "stage.mining";
-    }
-    return "stage.unknown";
-}
-
-} // namespace
 
 std::string
 PipelineStats::render() const
@@ -226,23 +193,14 @@ PipelineStats::render() const
 }
 
 ArtifactStore::ArtifactStore(std::string diskDir)
-    : diskDir_(std::move(diskDir))
+    : diskDir_(std::move(diskDir)),
+      hits_(&metrics_.counter("pipeline.wait-graphs.hits")),
+      misses_(&metrics_.counter("pipeline.wait-graphs.misses")),
+      diskHits_(&metrics_.counter("pipeline.wait-graphs.disk_hits")),
+      diskWrites_(&metrics_.counter("pipeline.wait-graphs.disk_writes")),
+      diskBytes_(&metrics_.counter("pipeline.wait-graphs.disk_bytes")),
+      buildNs_(&metrics_.counter("pipeline.wait-graphs.build_ns"))
 {
-    // Resolve the per-stage metric handles once; every hot-path
-    // update after this is a relaxed atomic increment.
-    for (std::size_t i = 0; i < kStageCount; ++i) {
-        const std::string prefix =
-            "pipeline." + std::string(stageName(static_cast<Stage>(i)));
-        counters_[i].hits = &metrics_.counter(prefix + ".hits");
-        counters_[i].misses = &metrics_.counter(prefix + ".misses");
-        counters_[i].diskHits =
-            &metrics_.counter(prefix + ".disk_hits");
-        counters_[i].diskWrites =
-            &metrics_.counter(prefix + ".disk_writes");
-        counters_[i].diskBytes =
-            &metrics_.counter(prefix + ".disk_bytes");
-        counters_[i].buildNs = &metrics_.counter(prefix + ".build_ns");
-    }
 }
 
 ArtifactStore::~ArtifactStore()
@@ -250,14 +208,43 @@ ArtifactStore::~ArtifactStore()
     metrics_.mergeInto(MetricsRegistry::global());
 }
 
-std::shared_ptr<const void>
-ArtifactStore::getOrBuild(Stage stage, const Digest &key,
-                          const ErasedBuild &build)
+std::string
+ArtifactStore::artifactPath(const Digest &key) const
 {
-    Span span(stageSpanName(stage), "pipeline");
+    return (std::filesystem::path(diskDir_) /
+            (std::string(stageName(Stage::WaitGraphs)) + "-" +
+             key.hex() + ".tla"))
+        .string();
+}
+
+ArtifactStore::Bundle
+ArtifactStore::load(const Digest &key)
+{
+    if (diskDir_.empty())
+        return nullptr;
+    const std::optional<std::string> payload =
+        loadArtifactFile(artifactPath(key), Stage::WaitGraphs, key);
+    std::vector<WaitGraph> graphs;
+    if (!payload || !WaitGraphCodec::decode(*payload, graphs))
+        return nullptr;
+    diskHits_->add(1);
+    diskBytes_->add(payload->size());
+    return std::make_shared<const std::vector<WaitGraph>>(
+        std::move(graphs));
+}
+
+std::shared_ptr<const std::vector<WaitGraph>>
+ArtifactStore::waitGraphs(
+    const Digest &key,
+    const std::function<std::vector<WaitGraph>()> &build)
+{
+    Span span("stage.wait-graphs", "pipeline");
     if (span.active())
         span.arg("key", key.hex());
 
+    // Find-or-insert under the map mutex, then build under the
+    // entry's once_flag outside it, so builds for distinct keys
+    // proceed concurrently.
     Entry *entry = nullptr;
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -267,100 +254,34 @@ ArtifactStore::getOrBuild(Stage stage, const Digest &key,
         entry = it->second.get();
     }
 
-    bool builtHere = false;
-    bool fromDisk = false;
+    std::string_view outcome = "hit";
     std::call_once(entry->once, [&] {
         const auto start = std::chrono::steady_clock::now();
-        BuildOutcome outcome = build();
-        entry->value = std::move(outcome.value);
-        fromDisk = outcome.fromDisk;
-        recordBuild(stage, outcome.fromDisk, outcome.diskBytes,
-                    msSince(start));
-        builtHere = true;
-    });
-    if (!builtHere)
-        countHit(stage);
-    if (span.active()) {
-        span.arg("outcome", std::string(builtHere
-                                            ? (fromDisk ? "disk-hit"
-                                                        : "miss")
-                                            : "hit"));
-    }
-    return entry->value;
-}
-
-std::string
-ArtifactStore::artifactPath(Stage stage, const Digest &key) const
-{
-    return (std::filesystem::path(diskDir_) /
-            (std::string(stageName(stage)) + "-" + key.hex() + ".tla"))
-        .string();
-}
-
-std::shared_ptr<const std::vector<WaitGraph>>
-ArtifactStore::waitGraphs(
-    const Digest &key,
-    const std::function<std::vector<WaitGraph>()> &build)
-{
-    auto erased = getOrBuild(
-        Stage::WaitGraphs, key, [&]() -> BuildOutcome {
-            if (!diskDir_.empty()) {
-                const std::string path =
-                    artifactPath(Stage::WaitGraphs, key);
-                if (auto payload =
-                        loadArtifactFile(path, Stage::WaitGraphs, key)) {
-                    std::vector<WaitGraph> graphs;
-                    if (WaitGraphCodec::decode(*payload, graphs)) {
-                        return {std::make_shared<
-                                    const std::vector<WaitGraph>>(
-                                    std::move(graphs)),
-                                true, payload->size()};
-                    }
-                }
-            }
-            auto graphs = std::make_shared<const std::vector<WaitGraph>>(
-                build());
+        entry->value = load(key);
+        if (entry->value != nullptr) {
+            outcome = "disk-hit";
+        } else {
+            entry->value =
+                std::make_shared<const std::vector<WaitGraph>>(build());
+            outcome = "miss";
+            misses_->add(1);
             if (!diskDir_.empty()) {
                 std::string payload;
-                WaitGraphCodec::encode(*graphs, payload);
-                storeArtifactFile(artifactPath(Stage::WaitGraphs, key),
-                                  Stage::WaitGraphs, key, payload);
-                countDiskWrite(Stage::WaitGraphs, payload.size());
-            }
-            return {std::move(graphs), false, 0};
-        });
-    return std::static_pointer_cast<const std::vector<WaitGraph>>(
-        erased);
-}
-
-std::shared_ptr<const AggregatedWaitGraph>
-ArtifactStore::awg(const Digest &key,
-                   const std::function<AggregatedWaitGraph()> &build)
-{
-    auto erased = getOrBuild(Stage::Awg, key, [&]() -> BuildOutcome {
-        if (!diskDir_.empty()) {
-            const std::string path = artifactPath(Stage::Awg, key);
-            if (auto payload = loadArtifactFile(path, Stage::Awg, key)) {
-                AggregatedWaitGraph awg;
-                if (AwgCodec::decode(*payload, awg)) {
-                    return {std::make_shared<const AggregatedWaitGraph>(
-                                std::move(awg)),
-                            true, payload->size()};
-                }
+                WaitGraphCodec::encode(*entry->value, payload);
+                storeArtifactFile(artifactPath(key), Stage::WaitGraphs,
+                                  key, payload);
+                diskWrites_->add(1);
+                diskBytes_->add(payload.size());
             }
         }
-        auto awg =
-            std::make_shared<const AggregatedWaitGraph>(build());
-        if (!diskDir_.empty()) {
-            std::string payload;
-            AwgCodec::encode(*awg, payload);
-            storeArtifactFile(artifactPath(Stage::Awg, key), Stage::Awg,
-                              key, payload);
-            countDiskWrite(Stage::Awg, payload.size());
-        }
-        return {std::move(awg), false, 0};
+        buildNs_->add(
+            static_cast<std::uint64_t>(msSince(start) * 1e6));
     });
-    return std::static_pointer_cast<const AggregatedWaitGraph>(erased);
+    if (outcome == "hit")
+        hits_->add(1);
+    if (span.active())
+        span.arg("outcome", std::string(outcome));
+    return entry->value;
 }
 
 PipelineStats
@@ -369,49 +290,19 @@ ArtifactStore::stats() const
     // A snapshot view over the registry counters: same struct, same
     // render, no second set of books.
     PipelineStats stats;
-    for (std::size_t i = 0; i < kStageCount; ++i) {
-        StageStats &s = stats.stages[i];
-        const StageCounters &c = counters_[i];
-        s.hits = c.hits->value();
-        s.misses = c.misses->value();
-        s.diskHits = c.diskHits->value();
-        s.diskWrites = c.diskWrites->value();
-        s.diskBytes = c.diskBytes->value();
-        s.buildMs = static_cast<double>(c.buildNs->value()) / 1e6;
-    }
+    StageStats &s = stats.stages[static_cast<std::size_t>(
+        Stage::WaitGraphs)];
+    s.hits = hits_->value();
+    s.misses = misses_->value();
+    s.diskHits = diskHits_->value();
+    s.diskWrites = diskWrites_->value();
+    s.diskBytes = diskBytes_->value();
+    s.buildMs = static_cast<double>(buildNs_->value()) / 1e6;
     return stats;
 }
 
-void
-ArtifactStore::countHit(Stage stage)
-{
-    counters_[static_cast<std::size_t>(stage)].hits->add(1);
-}
-
-void
-ArtifactStore::recordBuild(Stage stage, bool fromDisk,
-                           std::uint64_t diskBytes, double ms)
-{
-    const StageCounters &c = counters_[static_cast<std::size_t>(stage)];
-    if (fromDisk) {
-        c.diskHits->add(1);
-        c.diskBytes->add(diskBytes);
-    } else {
-        c.misses->add(1);
-    }
-    c.buildNs->add(static_cast<std::uint64_t>(ms * 1e6));
-}
-
-void
-ArtifactStore::countDiskWrite(Stage stage, std::uint64_t bytes)
-{
-    const StageCounters &c = counters_[static_cast<std::size_t>(stage)];
-    c.diskWrites->add(1);
-    c.diskBytes->add(bytes);
-}
-
 // ---------------------------------------------------------------------
-// Codecs
+// Codec
 // ---------------------------------------------------------------------
 
 void
@@ -524,78 +415,6 @@ WaitGraphCodec::decode(const std::string &bytes,
             return false;
         graphs.push_back(WaitGraph(std::move(body)));
     }
-    return !reader.failed() && reader.atEnd();
-}
-
-void
-AwgCodec::encode(const AggregatedWaitGraph &awg, std::string &out)
-{
-    putU64(out, awg.nodes_.size());
-    for (const AggregatedWaitGraph::Node &node : awg.nodes_) {
-        putU8(out, static_cast<std::uint8_t>(node.key.status));
-        putU32(out, node.key.primary);
-        putU32(out, node.key.secondary);
-        putI64(out, node.cost);
-        putU64(out, node.count);
-        putI64(out, node.maxCost);
-        putU64(out, node.children.size());
-        for (std::uint32_t child : node.children)
-            putU32(out, child);
-    }
-    putU64(out, awg.roots_.size());
-    for (std::uint32_t root : awg.roots_)
-        putU32(out, root);
-    putI64(out, awg.reducedCost_);
-    putU64(out, awg.reducedNodes_);
-    putU64(out, awg.sourceGraphs_);
-}
-
-bool
-AwgCodec::decode(const std::string &bytes, AggregatedWaitGraph &awg)
-{
-    ByteReader reader(bytes);
-    const std::uint64_t node_count = reader.u64();
-    if (!reader.countFits(node_count, 41)) // fixed node bytes
-        return false;
-    awg.nodes_.clear();
-    awg.nodes_.reserve(node_count);
-    for (std::uint64_t n = 0; n < node_count; ++n) {
-        AggregatedWaitGraph::Node node;
-        const std::uint8_t status = reader.u8();
-        if (status > static_cast<std::uint8_t>(AwgStatus::Hardware))
-            return false;
-        node.key.status = static_cast<AwgStatus>(status);
-        node.key.primary = reader.u32();
-        node.key.secondary = reader.u32();
-        node.cost = reader.i64();
-        node.count = reader.u64();
-        node.maxCost = reader.i64();
-        const std::uint64_t child_count = reader.u64();
-        if (!reader.countFits(child_count, 4))
-            return false;
-        node.children.reserve(child_count);
-        for (std::uint64_t c = 0; c < child_count; ++c) {
-            const std::uint32_t child = reader.u32();
-            if (child >= node_count)
-                return false;
-            node.children.push_back(child);
-        }
-        awg.nodes_.push_back(std::move(node));
-    }
-    const std::uint64_t root_count = reader.u64();
-    if (!reader.countFits(root_count, 4))
-        return false;
-    awg.roots_.clear();
-    awg.roots_.reserve(root_count);
-    for (std::uint64_t r = 0; r < root_count; ++r) {
-        const std::uint32_t root = reader.u32();
-        if (root >= node_count)
-            return false;
-        awg.roots_.push_back(root);
-    }
-    awg.reducedCost_ = reader.i64();
-    awg.reducedNodes_ = reader.u64();
-    awg.sourceGraphs_ = reader.u64();
     return !reader.failed() && reader.atEnd();
 }
 

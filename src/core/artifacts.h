@@ -1,36 +1,34 @@
 /**
  * @file
- * The artifact store of the incremental analysis pipeline.
+ * The artifact store of the analysis pipeline: the one cached
+ * artifact, the per-shard wait-graph bundle.
  *
- * The Analyzer used to be an opaque facade: every derived result
- * (wait graphs, contrast classes, impact metrics, AWGs, mined
- * patterns) was recomputed from scratch for every analyzer instance.
- * This module turns those results into *artifacts*: immutable values
- * keyed by a content hash of everything that influenced them — the
- * digest chain of the input shards plus a fingerprint of the analysis
- * configuration (see docs/ARCHITECTURE.md, "Pipeline stage graph &
- * artifact keys").
+ * Building a shard's wait graphs is the expensive step every analysis
+ * starts from, and its result depends only on the shard chain and the
+ * wait-graph options. ArtifactStore memoizes those bundles under a key
+ * that hashes exactly that: the digest chain of the shards up to and
+ * including this one plus a fingerprint of the configuration (see
+ * docs/ARCHITECTURE.md, "Pipeline stage graph & artifact keys").
+ * Everything downstream (classes, impact, AWGs, mining) is recomputed
+ * per call from the bundles; the daemon caches rendered answers
+ * instead (src/server/responsecache.h).
  *
- * ArtifactStore memoizes artifacts per key:
+ * Bundles live:
  *
- *  - in memory, always: a thread-safe map of type-erased values with
- *    per-entry once-semantics, so concurrent analyses (the
- *    analyzeScenarios fan-out) share one build per key;
- *  - on disk, optionally: the two expensive stages — per-shard wait
- *    graph bundles and aggregated wait graphs — serialize to
- *    "<stage>-<keyhex>.tla" files under a cache directory (CLI:
- *    --artifact-cache DIR), so a later process warm-starts without
- *    recomputing. Corrupt or stale cache files are never trusted:
- *    every load validates magic, version, stage, key echo, and a
- *    payload checksum, and any mismatch falls back to a rebuild that
- *    overwrites the bad file.
+ *  - in memory, always: a thread-safe map with per-entry
+ *    once-semantics, so concurrent analyses share one build per key;
+ *  - on disk, optionally: "wait-graphs-<keyhex>.tla" files under a
+ *    cache directory (CLI: --artifact-cache DIR), so a later process
+ *    warm-starts without rebuilding them. Corrupt or stale cache files
+ *    are never trusted: every load validates magic, version, stage,
+ *    key echo, and a payload checksum, and any mismatch falls back to
+ *    a rebuild that overwrites the bad file.
  *
  * Because keys are content hashes, incrementality falls out for free:
- * appending a shard changes only the chain suffix, so every artifact
- * derived from the unchanged prefix keeps its key and is served from
- * the store, while artifacts downstream of the new data miss and
- * rebuild. PipelineStats counts exactly that (hits, misses, disk
- * traffic, build wall time) per stage.
+ * appending a shard adds one chain link, so every prefix shard keeps
+ * its key and is served from the store while only the new shard's
+ * bundle builds. PipelineStats counts exactly that (hits, misses, disk
+ * traffic, build wall time).
  */
 
 #ifndef TRACELENS_CORE_ARTIFACTS_H
@@ -45,7 +43,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/awg/awg.h"
 #include "src/util/hash.h"
 #include "src/util/telemetry.h"
 #include "src/waitgraph/waitgraph.h"
@@ -53,20 +50,16 @@
 namespace tracelens
 {
 
-/** The memoized stages of the analysis pipeline. */
+/** The cached stages of the analysis pipeline. */
 enum class Stage : std::uint8_t
 {
     WaitGraphs = 0, //!< Per-shard wait-graph bundles (disk-backed).
-    Classes = 1,    //!< Per-scenario fast/slow contrast classes.
-    Impact = 2,     //!< Corpus / per-scenario / slow-class impact.
-    Awg = 3,        //!< Fast and slow aggregated wait graphs (disk-backed).
-    Mining = 4,     //!< Per-scenario contrast-mining results.
 };
 
 /** Number of pipeline stages (array sizing). */
-inline constexpr std::size_t kStageCount = 5;
+inline constexpr std::size_t kStageCount = 1;
 
-/** Human-readable stage name ("wait-graphs", ...). */
+/** Human-readable stage name ("wait-graphs"). */
 std::string_view stageName(Stage stage);
 
 /** Cache counters of one pipeline stage. */
@@ -83,8 +76,8 @@ struct StageStats
 /**
  * Per-stage cache counters of one pipeline run. This is a *snapshot
  * view* over the store's MetricsRegistry ("pipeline.<stage>.<name>"
- * counters), kept as a struct so existing callers and the CLI's
- * --pipeline-stats rendering stay byte-compatible.
+ * counters), kept as a struct so the CLI's --pipeline-stats rendering
+ * stays byte-compatible.
  */
 struct PipelineStats
 {
@@ -100,7 +93,7 @@ struct PipelineStats
 };
 
 /**
- * Thread-safe keyed memoization of pipeline artifacts. Values are
+ * Thread-safe keyed memoization of wait-graph bundles. Bundles are
  * immutable once published; concurrent requests for one key run the
  * build exactly once (the others block and then share the result).
  * Lookups for *different* keys never serialize behind a build.
@@ -110,8 +103,8 @@ class ArtifactStore
   public:
     /**
      * @param diskDir Directory for the optional on-disk cache of
-     *        wait-graph bundles and AWGs (created on first write);
-     *        empty = memory-only.
+     *        wait-graph bundles (created on first write); empty =
+     *        memory-only.
      */
     explicit ArtifactStore(std::string diskDir = {});
 
@@ -123,33 +116,14 @@ class ArtifactStore
     ArtifactStore &operator=(const ArtifactStore &) = delete;
 
     /**
-     * The artifact for @p key, building it via @p build on first
-     * request. @p T must match the type every caller uses for this
-     * key (keys embed a stage salt, so stages cannot collide).
-     */
-    template <typename T, typename F>
-    std::shared_ptr<const T>
-    get(Stage stage, const Digest &key, F &&build)
-    {
-        auto erased = getOrBuild(stage, key, [&]() -> BuildOutcome {
-            return {std::make_shared<const T>(build()), false, 0};
-        });
-        return std::static_pointer_cast<const T>(erased);
-    }
-
-    /**
-     * One shard's wait-graph bundle: in-memory memoized and, when a
-     * disk directory is configured, persisted/restored as a
-     * "waitgraphs-<keyhex>.tla" file.
+     * One shard's wait-graph bundle for @p key, restored from disk or
+     * built via @p build on first request. Every request records a
+     * "stage.wait-graphs" telemetry span carrying the key and the
+     * hit/miss/disk-hit outcome as span args.
      */
     std::shared_ptr<const std::vector<WaitGraph>>
     waitGraphs(const Digest &key,
                const std::function<std::vector<WaitGraph>()> &build);
-
-    /** An aggregated wait graph; disk-backed like waitGraphs(). */
-    std::shared_ptr<const AggregatedWaitGraph>
-    awg(const Digest &key,
-        const std::function<AggregatedWaitGraph()> &build);
 
     /** Snapshot of the per-stage counters. */
     PipelineStats stats() const;
@@ -157,41 +131,20 @@ class ArtifactStore
     const std::string &diskDir() const { return diskDir_; }
 
   private:
+    using Bundle = std::shared_ptr<const std::vector<WaitGraph>>;
+
     struct Entry
     {
         std::once_flag once;
-        std::shared_ptr<const void> value;
+        Bundle value;
     };
 
-    /** One erased build's result plus how the value was produced. */
-    struct BuildOutcome
-    {
-        std::shared_ptr<const void> value;
-        bool fromDisk = false;        //!< Deserialized, not computed.
-        std::uint64_t diskBytes = 0;  //!< Payload bytes read.
-    };
+    /** The bundle's disk file, or null when absent or untrusted;
+     *  counts a disk hit. */
+    Bundle load(const Digest &key);
 
-    using ErasedBuild = std::function<BuildOutcome()>;
-
-    /**
-     * Core memoization: find-or-insert the entry under the map mutex,
-     * then run @p build under the entry's once_flag *outside* it, so
-     * builds for distinct keys proceed concurrently. The build is
-     * timed and counted as a miss or disk hit per its outcome; a
-     * value already present counts as a hit. Every request records a
-     * "stage.<name>" telemetry span carrying the artifact key and the
-     * hit/miss/disk-hit outcome as span args.
-     */
-    std::shared_ptr<const void>
-    getOrBuild(Stage stage, const Digest &key, const ErasedBuild &build);
-
-    /** Path of the artifact file for @p key in @p stage. */
-    std::string artifactPath(Stage stage, const Digest &key) const;
-
-    void countHit(Stage stage);
-    void recordBuild(Stage stage, bool fromDisk, std::uint64_t diskBytes,
-                     double ms);
-    void countDiskWrite(Stage stage, std::uint64_t bytes);
+    /** Path of the artifact file for @p key. */
+    std::string artifactPath(const Digest &key) const;
 
     std::string diskDir_;
 
@@ -201,22 +154,17 @@ class ArtifactStore
 
     /**
      * Per-store metrics backing PipelineStats: lock-free handles into
-     * metrics_, one set per stage ("pipeline.<stage>.hits", ...).
-     * Build wall time accumulates in nanoseconds (a counter) and is
-     * rendered back to milliseconds by stats().
+     * metrics_ ("pipeline.wait-graphs.hits", ...). Build wall time
+     * accumulates in nanoseconds (a counter) and is rendered back to
+     * milliseconds by stats().
      */
-    struct StageCounters
-    {
-        Counter *hits = nullptr;
-        Counter *misses = nullptr;
-        Counter *diskHits = nullptr;
-        Counter *diskWrites = nullptr;
-        Counter *diskBytes = nullptr;
-        Counter *buildNs = nullptr;
-    };
-
     MetricsRegistry metrics_;
-    StageCounters counters_[kStageCount];
+    Counter *hits_;
+    Counter *misses_;
+    Counter *diskHits_;
+    Counter *diskWrites_;
+    Counter *diskBytes_;
+    Counter *buildNs_;
 };
 
 /**
@@ -231,14 +179,6 @@ struct WaitGraphCodec
                        std::string &out);
     static bool decode(const std::string &bytes,
                        std::vector<WaitGraph> &graphs);
-};
-
-/** Binary codec of aggregated wait graphs for the disk cache. */
-struct AwgCodec
-{
-    static void encode(const AggregatedWaitGraph &awg, std::string &out);
-    static bool decode(const std::string &bytes,
-                       AggregatedWaitGraph &awg);
 };
 
 /** On-disk artifact (TLA1) format revision (`tracelens version`). */

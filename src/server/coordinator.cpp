@@ -8,7 +8,6 @@
 #include "src/server/coordinator.h"
 
 #include <algorithm>
-#include <filesystem>
 #include <map>
 
 #include "src/server/client.h"
@@ -125,55 +124,7 @@ Coordinator::Coordinator(CoordinatorConfig config)
 Expected<std::vector<std::string>>
 Coordinator::enumerateShards(const std::string &corpusPath)
 {
-    // Mirrors openSource() (src/trace/source.cpp): shard order IS
-    // merge order, so any divergence here breaks byte-identity with
-    // single-node analysis.
-    std::error_code ec;
-    const auto status = std::filesystem::status(corpusPath, ec);
-    if (ec || status.type() == std::filesystem::file_type::not_found)
-        return SourceError{corpusPath, 0, "no such file or directory"};
-
-    std::vector<std::string> shards;
-    if (std::filesystem::is_directory(status)) {
-        for (const auto &entry :
-             std::filesystem::directory_iterator(corpusPath, ec)) {
-            if (entry.is_regular_file() &&
-                isShardFilename(entry.path().filename().string()))
-                shards.push_back(entry.path().string());
-        }
-        if (ec) {
-            return SourceError{corpusPath, 0,
-                               "cannot list directory: " + ec.message()};
-        }
-        std::sort(shards.begin(), shards.end());
-        if (shards.empty()) {
-            return SourceError{
-                corpusPath, 0,
-                "directory contains no *.tlc shard files"};
-        }
-    } else {
-        shards.push_back(corpusPath);
-    }
-    return shards;
-}
-
-Digest
-Coordinator::listingIdentity(const std::vector<std::string> &shards)
-{
-    Digest identity;
-    for (const std::string &shard : shards) {
-        identity.mix(shard);
-        // A shard that vanished after the listing mixes a marker; its
-        // scatter then degrades, and degraded answers are not cached.
-        const std::optional<FileStamp> stamp = fileStamp(shard);
-        identity.mix(static_cast<std::uint64_t>(stamp.has_value()));
-        if (stamp) {
-            identity.mix(stamp->size)
-                .mix(static_cast<std::uint64_t>(stamp->mtimeNs))
-                .mix(stamp->inode);
-        }
-    }
-    return identity;
+    return listShards(corpusPath);
 }
 
 // -------------------------------------------------- Scatter (private)

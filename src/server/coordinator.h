@@ -168,24 +168,15 @@ class Coordinator
 
     /**
      * The corpus's shard files in *exactly* the order a single-node
-     * analyzer ingests them (openSource: directory -> sorted "*.tlc"
-     * files; plain file -> itself). Shard order is the merge order,
-     * so this must never diverge from src/trace/source.cpp.
+     * analyzer ingests them: listShards() (src/trace/source.h), the
+     * one listing openSource() reads too.
      */
     static Expected<std::vector<std::string>>
     enumerateShards(const std::string &corpusPath);
 
     /**
-     * Digest of @p shards (an enumerateShards() listing) as they sit
-     * on disk: each shard's path and FileStamp, in order. Two equal
-     * identities name the same shard bytes, so the coordinator's
-     * response cache keys on it.
-     */
-    static Digest listingIdentity(const std::vector<std::string> &shards);
-
-    /**
      * Scatter one scenario-partial request per shard of @p shards
-     * (the query's enumerateShards() listing; @p method is
+     * (the query's listShards() listing; @p method is
      * Method::AnalyzePartial or Method::MinePartial — same payload,
      * same worker handler) and fold the partials in shard order.
      * Returns an error only for query-level failures (revision
@@ -213,7 +204,7 @@ class Coordinator
 
     /**
      * The coordinator's exact-repeat cache of rendered answers, keyed
-     * by method, params, component filter and listingIdentity(): a
+     * by method, params, component filter and listingStamp(): a
      * repeat over unchanged shard files is answered without a
      * scatter, also while workers are down.
      */

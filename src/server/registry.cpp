@@ -55,19 +55,26 @@ struct SessionRegistry::Entry
     std::atomic<bool> ready{false};
     /** Set when the open failed (the entry is then a tombstone). */
     std::optional<SourceError> openError;
-    /** A plain-file corpus's stamp, taken before the open read it. */
-    std::optional<FileStamp> stamp;
     std::atomic<std::size_t> active{0};
     std::atomic<Clock::rep> lastUsed{0};
 };
 
 void
-CorpusSession::absorbShard(const TraceCorpus &corpus)
+CorpusSession::absorbShard(const TraceCorpus &corpus,
+                           const std::string &shardPath)
 {
     const std::unique_lock<std::shared_mutex> lock(analysisMutex_);
     analyzer_->addStreams(corpus);
     corpusDigest_ = analyzer_->corpusDigest();
     responses_.clear();
+    stamp_.add(shardPath);
+}
+
+ListingStamp
+CorpusSession::stamp() const
+{
+    const std::shared_lock<std::shared_mutex> lock(analysisMutex_);
+    return stamp_;
 }
 
 SessionRegistry::Handle::Handle(std::shared_ptr<Entry> entry,
@@ -104,12 +111,16 @@ SessionRegistry::acquire(const std::string &path,
                          const std::vector<std::string> &components)
 {
     const std::string key = sessionKey(path, components);
-    // A file rewritten under a warm session retires it; the bound
-    // keeps a file that changes on every stat from spinning here.
+    // A corpus changed under a warm session retires it; the bound
+    // keeps a corpus that changes on every stat from spinning here.
     for (int attempt = 0;; ++attempt) {
         Expected<Handle> handle = acquireOnce(key, path, components);
-        if (!handle || attempt == 2 || !handle.value().entry_->stamp ||
-            fileStamp(path) == handle.value().entry_->stamp)
+        if (!handle || attempt == 2)
+            return handle;
+        const Expected<std::vector<std::string>> shards =
+            listShards(path);
+        if (shards && listingStamp(shards.value()) ==
+                          handle.value()->stamp())
             return handle;
         std::shared_ptr<Entry> stale = handle.value().entry_;
         handle = Handle();
@@ -151,7 +162,15 @@ SessionRegistry::acquireOnce(const std::string &key,
     // Expensive open outside the registry lock; once per entry.
     std::call_once(entry->openOnce, [&] {
         TL_SPAN("server.session-open", "server");
-        entry->stamp = fileStamp(path);
+        // Stamp before the open reads: a change racing the open then
+        // shows at the next acquire instead of hiding under the stamp.
+        const Expected<std::vector<std::string>> shards =
+            listShards(path);
+        if (!shards) {
+            entry->openError = shards.error();
+            return;
+        }
+        const ListingStamp stamp = listingStamp(shards.value());
         Expected<std::unique_ptr<TraceSource>> source =
             openSource(path, config_.source);
         if (!source) {
@@ -160,6 +179,7 @@ SessionRegistry::acquireOnce(const std::string &key,
         }
         auto session = std::make_shared<CorpusSession>();
         session->path_ = path;
+        session->stamp_ = stamp;
         session->source_ = std::move(source.value());
 
         AnalyzerConfig analyzerConfig;

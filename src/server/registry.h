@@ -106,13 +106,17 @@ class CorpusSession
     ResponseCache &responses() const { return responses_; }
 
     /**
-     * Absorb a pushed shard into the warm Analyzer, refresh the corpus
-     * digest and drop the cached responses, whose keys name the old
-     * digest and can never match again (continuous mode's
-     * `ingest_push`). Takes the exclusive side of analysisLock() for
-     * the brief append.
+     * Absorb @p corpus, the pushed shard now on disk at @p shardPath
+     * in this session's directory, into the warm Analyzer (continuous
+     * mode's `ingest_push`): refresh the corpus digest, drop the
+     * cached responses, whose keys name the old digest and can never
+     * match again, and add the shard to the listing stamp, so the
+     * push does not read as a change on disk that reopens the
+     * session. Takes the exclusive side of analysisLock() for the
+     * brief append.
      */
-    void absorbShard(const TraceCorpus &corpus);
+    void absorbShard(const TraceCorpus &corpus,
+                     const std::string &shardPath);
 
     /**
      * Shared lock a request handler holds while it reads the warm
@@ -127,11 +131,16 @@ class CorpusSession
   private:
     friend class SessionRegistry;
 
+    /** The stamp of the shard listing this session holds. */
+    ListingStamp stamp() const;
+
     std::string path_;
     std::unique_ptr<TraceSource> source_;
     std::unique_ptr<Analyzer> analyzer_;
     SessionIngestInfo ingest_;
     Digest corpusDigest_;
+    /** Taken before the open listed the corpus; absorbShard() adds. */
+    ListingStamp stamp_;
 
     /** Readers = analysis handlers; writer = absorbShard(). */
     mutable std::shared_mutex analysisMutex_;
@@ -210,9 +219,10 @@ class SessionRegistry
      * Open (or reuse) the session for @p path with the session-level
      * @p components filter (empty = analyzer default). Expensive on a
      * cold corpus — call from a worker thread, never the accept loop.
-     * A session over a plain file whose size, mtime or inode changed
-     * since it opened is replaced by a fresh one (a worker's shard was
-     * rewritten); directory sessions are reused as opened.
+     * A session whose listing stamp no longer matches the corpus on
+     * disk (a shard added, removed or rewritten; for a plain file, the
+     * file rewritten) is replaced by a fresh one, so a warm session
+     * never answers for bytes it did not read.
      */
     Expected<Handle> acquire(const std::string &path,
                              const std::vector<std::string> &components =

@@ -24,6 +24,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
 #include <shared_mutex>
 #include <utility>
 #include <vector>
@@ -1544,7 +1545,7 @@ Server::answerQuery(const QueuedRequest &request,
     if (coordinator_) {
         // One listing per query: it keys the cache and is the scatter.
         const Expected<std::vector<std::string>> shards =
-            Coordinator::enumerateShards(corpusPath);
+            listShards(corpusPath);
         if (!shards)
             failRequest(ErrorCode::NotFound, shards.error().render());
         // A session is keyed on path and component filter; the
@@ -1552,7 +1553,8 @@ Server::answerQuery(const QueuedRequest &request,
         key.mix(static_cast<std::uint64_t>(components.size()));
         for (const std::string &component : components)
             key.mix(component);
-        key.mix(Coordinator::listingIdentity(shards.value()));
+        const ListingStamp stamp = listingStamp(shards.value());
+        key.mix(stamp.hi).mix(stamp.lo);
         return cachedAnswer(coordinator_->responses(), key, [&] {
             return answer(nullptr, shards.value());
         });
@@ -1917,9 +1919,14 @@ Server::handleIngestPush(const QueuedRequest &request)
         failRequest(ErrorCode::Internal, *error);
 
     // Extend the warm batch session in place. The corpus digest
-    // changes, so cached responses self-invalidate.
+    // changes, so cached responses self-invalidate; the session's
+    // listing stamp gains the landed file, so the push is not taken
+    // for a change on disk.
     if (session)
-        session.value()->absorbShard(corpus.value());
+        session.value()->absorbShard(
+            corpus.value(),
+            (std::filesystem::path(config_.fleetWatchDir) / name)
+                .string());
 
     const IngestOutcome outcome = fleet_->ingest(
         name, std::move(corpus.value()), timestampMs);

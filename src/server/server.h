@@ -345,7 +345,7 @@ class Server
      * warm session (withSession()) is the only, in-process worker and
      * its digest is the identity. Coordinator: the corpus's shard
      * listing, enumerated once, is the scatter, and @p components plus
-     * its listingIdentity() are the identity. Degraded answers are
+     * its listingStamp() are the identity. Degraded answers are
      * never cached.
      */
     JsonValue answerQuery(const QueuedRequest &request,

@@ -15,6 +15,7 @@
 
 #include "src/trace/merge.h"
 #include "src/trace/serialize.h"
+#include "src/util/hash.h"
 #include "src/util/logging.h"
 #include "src/util/telemetry.h"
 
@@ -481,43 +482,47 @@ MmapSource::stats() const
 
 // ---------------------------------------------------------------- openSource
 
-Expected<std::unique_ptr<TraceSource>>
-openSource(const std::string &path, const SourceOptions &options)
+Expected<std::vector<std::string>>
+listShards(const std::string &path)
 {
     std::error_code ec;
     const auto status = std::filesystem::status(path, ec);
-    if (ec || status.type() == std::filesystem::file_type::not_found) {
-        return SourceError{path, 0,
-                           "no such file or directory"};
-    }
+    if (ec || status.type() == std::filesystem::file_type::not_found)
+        return SourceError{path, 0, "no such file or directory"};
 
     std::vector<std::string> shards;
-    if (std::filesystem::is_directory(status)) {
-        for (const auto &entry :
-             std::filesystem::directory_iterator(path, ec)) {
-            if (entry.is_regular_file() &&
-                isShardFilename(entry.path().filename().string()))
-                shards.push_back(entry.path().string());
-        }
-        if (ec) {
-            return SourceError{path, 0,
-                               "cannot list directory: " + ec.message()};
-        }
-        std::sort(shards.begin(), shards.end());
-        if (shards.empty()) {
-            return SourceError{
-                path, 0, "directory contains no *.tlc shard files"};
-        }
-    } else {
+    if (!std::filesystem::is_directory(status)) {
         shards.push_back(path);
+        return shards;
     }
+    for (const auto &entry :
+         std::filesystem::directory_iterator(path, ec)) {
+        if (entry.is_regular_file() &&
+            isShardFilename(entry.path().filename().string()))
+            shards.push_back(entry.path().string());
+    }
+    if (ec)
+        return SourceError{path, 0,
+                           "cannot list directory: " + ec.message()};
+    std::sort(shards.begin(), shards.end());
+    if (shards.empty())
+        return SourceError{path, 0,
+                           "directory contains no *.tlc shard files"};
+    return shards;
+}
 
+Expected<std::unique_ptr<TraceSource>>
+openSource(const std::string &path, const SourceOptions &options)
+{
+    Expected<std::vector<std::string>> shards = listShards(path);
+    if (!shards)
+        return shards.error();
     if (options.useMmap) {
-        return std::unique_ptr<TraceSource>(
-            std::make_unique<MmapSource>(std::move(shards), options));
+        return std::unique_ptr<TraceSource>(std::make_unique<MmapSource>(
+            std::move(shards.value()), options));
     }
     return std::unique_ptr<TraceSource>(
-        std::make_unique<EagerSource>(std::move(shards)));
+        std::make_unique<EagerSource>(std::move(shards.value())));
 }
 
 bool
@@ -542,6 +547,31 @@ fileStamp(const std::string &path)
         static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1000000000 +
         st.st_mtim.tv_nsec;
     stamp.inode = static_cast<std::uint64_t>(st.st_ino);
+    return stamp;
+}
+
+void
+ListingStamp::add(const std::string &shard)
+{
+    Digest term;
+    term.mix(shard);
+    const std::optional<FileStamp> stamp = fileStamp(shard);
+    term.mix(static_cast<std::uint64_t>(stamp.has_value()));
+    if (stamp) {
+        term.mix(stamp->size)
+            .mix(static_cast<std::uint64_t>(stamp->mtimeNs))
+            .mix(stamp->inode);
+    }
+    hi += term.hi();
+    lo += term.lo();
+}
+
+ListingStamp
+listingStamp(const std::vector<std::string> &shards)
+{
+    ListingStamp stamp;
+    for (const std::string &shard : shards)
+        stamp.add(shard);
     return stamp;
 }
 

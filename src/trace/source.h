@@ -251,12 +251,19 @@ class MmapSource : public TraceSource
 };
 
 /**
- * Open @p path as a TraceSource: a regular file is a single-shard
- * corpus; a directory is a sharded corpus of its "*.tlc" files in
- * filename order (see docs/TRACE_FORMAT.md, "Sharded corpora").
- * Fails only when @p path itself is unusable (missing, or a directory
- * with no shards) — corrupt shard *files* are isolated later, per
- * shard.
+ * The shard files of the corpus at @p path, in ingest order: a
+ * directory lists its isShardFilename() regular files sorted by name
+ * (see docs/TRACE_FORMAT.md, "Sharded corpora"); a regular file is its
+ * own single shard. Shard order IS merge order, so openSource() and
+ * the coordinator's scatter both list through here. Fails only when
+ * @p path itself is unusable (missing, or a directory with no shards).
+ */
+Expected<std::vector<std::string>> listShards(const std::string &path);
+
+/**
+ * Open @p path as a TraceSource over its listShards() listing. Fails
+ * only when the listing does — corrupt shard *files* are isolated
+ * later, per shard.
  */
 Expected<std::unique_ptr<TraceSource>>
 openSource(const std::string &path, const SourceOptions &options = {});
@@ -293,6 +300,30 @@ struct FileStamp
 
 /** stat() @p path; nullopt unless it names a regular file. */
 std::optional<FileStamp> fileStamp(const std::string &path);
+
+/**
+ * Stat-only identity of a shard listing: every shard's path and
+ * FileStamp, no shard bytes read. Equal stamps are taken to mean the
+ * same corpus bytes (warm sessions and the coordinator's response
+ * cache key on them). The per-shard terms are summed, so a listing
+ * that gained one shard is re-stamped by add()ing that shard alone;
+ * order needs no term of its own, since a listing is sorted by path.
+ */
+struct ListingStamp
+{
+    std::uint64_t hi = 0;
+    std::uint64_t lo = 0;
+
+    /** Add @p shard's term; a shard that is not (or no longer) a
+     *  regular file adds a marker term. */
+    void add(const std::string &shard);
+
+    friend bool operator==(const ListingStamp &,
+                           const ListingStamp &) = default;
+};
+
+/** The stamp of a listShards() listing. */
+ListingStamp listingStamp(const std::vector<std::string> &shards);
 
 /**
  * Estimated resident bytes of a materialized corpus (events,

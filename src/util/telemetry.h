@@ -30,7 +30,7 @@
  * Naming conventions (docs/TELEMETRY.md): span names are
  * "<layer>.<operation>" ("stage.wait-graphs", "pool.run-shards"),
  * categories are the coarse layer ("ingest", "pipeline", "analysis",
- * "pool", "cli"); metric names are dot-paths ("pipeline.awg.hits",
+ * "pool", "cli"); metric names are dot-paths ("pipeline.wait-graphs.hits",
  * "source.cache.misses", "pool.queue_depth").
  */
 
@@ -398,7 +398,7 @@ struct NodeSpans
 #define TL_TELEMETRY_CONCAT2(a, b) a##b
 #define TL_TELEMETRY_CONCAT(a, b) TL_TELEMETRY_CONCAT2(a, b)
 
-/** Scope-level span: TL_SPAN("stage.mining", "pipeline"); */
+/** Scope-level span: TL_SPAN("report.build", "analysis"); */
 #define TL_SPAN(name, category) \
     ::tracelens::Span TL_TELEMETRY_CONCAT(tlSpan_, \
                                           __LINE__)(name, category)

@@ -437,8 +437,9 @@ TEST_F(ClusterTest, ChangedShardFilesMakeTheRepeatScatterAgain)
     };
     for (std::size_t c = 0; c < changes.size(); ++c) {
         const auto &[change, target] = changes[c];
-        if (change == "rewrite")
+        if (change == "rewrite") {
             ASSERT_TRUE(fs::exists(target));
+        }
         fs::rename(donor[c], target);
 
         // A fresh single node over the changed corpus is the oracle.
@@ -457,6 +458,67 @@ TEST_F(ClusterTest, ChangedShardFilesMakeTheRepeatScatterAgain)
                 << change << ": " << methodName(method);
             EXPECT_EQ(changed, answer(freshSession, method, params))
                 << change << ": " << methodName(method);
+        }
+    }
+}
+
+TEST_F(ClusterTest, SingleNodeFollowsShardsAddedToAndRewrittenInItsDirectory)
+{
+    Daemon worker1 = startWorker();
+    Daemon worker2 = startWorker();
+    Daemon coord = startCoordinator(
+        {worker1.address(), worker2.address()});
+    Daemon single = startWorker();
+    Session coordSession = connect(coord);
+    Session singleSession = connect(single);
+
+    ImpactRequest impact;
+    impact.corpus = corpusDir_;
+    const std::vector<std::pair<Method, JsonValue>> queries = {
+        {Method::Impact, impact.toParams()},
+        {Method::Analyze, analyzeParams(350, 400)},
+    };
+    // Warm the single node's directory session.
+    std::vector<std::string> previous;
+    for (const auto &[method, params] : queries)
+        previous.push_back(answer(singleSession, method, params));
+
+    // Shards of another corpus, renamed into the served directory:
+    // first a fifth shard, then over an existing one.
+    CorpusSpec spec;
+    spec.machines = 8;
+    spec.seed = 4242;
+    const std::vector<std::string> donor = writeShardedCorpusDir(
+        generateCorpus(spec), (scratch_->path() / "donor").string(), 4);
+    ASSERT_EQ(donor.size(), 4u);
+    const fs::path corpus(corpusDir_);
+    const std::vector<std::pair<std::string, fs::path>> changes = {
+        {"add", corpus / "shard-0004.tlc"},
+        {"rewrite", corpus / "shard-0001.tlc"},
+    };
+    for (std::size_t c = 0; c < changes.size(); ++c) {
+        const auto &[change, target] = changes[c];
+        fs::rename(donor[c], target);
+
+        // A freshly started single node and the coordinator over the
+        // changed directory are the oracles.
+        Daemon fresh = startWorker();
+        Session freshSession = connect(fresh);
+        for (std::size_t q = 0; q < queries.size(); ++q) {
+            const auto &[method, params] = queries[q];
+            const std::string served =
+                answer(singleSession, method, params);
+            // Corpus-wide impact moves with any shard; one scenario's
+            // analysis may not (a shard can lack the scenario).
+            if (method == Method::Impact) {
+                EXPECT_NE(served, previous[q])
+                    << change << ": answered from the stale session";
+            }
+            EXPECT_EQ(served, answer(freshSession, method, params))
+                << change << ": " << methodName(method);
+            EXPECT_EQ(served, answer(coordSession, method, params))
+                << change << ": " << methodName(method);
+            previous[q] = served;
         }
     }
 }

@@ -21,6 +21,7 @@
 #include "src/core/analyzer.h"
 #include "src/core/report.h"
 #include "src/trace/merge.h"
+#include "src/trace/serialize.h"
 #include "src/trace/source.h"
 #include "src/workload/generator.h"
 #include "src/workload/scenarios.h"
@@ -167,14 +168,26 @@ TEST(Incremental, RepeatedQueriesHitTheMemoizedStore)
     EagerSource source(corpus);
     Analyzer analyzer(source);
 
+    // Impact, AWGs and mining are recomputed per call from the one
+    // memoized artifact, the wait graphs, which build exactly once.
     const ImpactResult first = analyzer.impactAll();
     const ImpactResult second = analyzer.impactAll();
     EXPECT_EQ(first.dWait, second.dWait);
     EXPECT_EQ(first.dWaitDist, second.dWaitDist);
+    const std::vector<ScenarioThresholds> scenarios =
+        catalogThresholds(corpus);
+    ASSERT_FALSE(scenarios.empty());
+    const ScenarioThresholds &scenario = scenarios.front();
+    const ScenarioAnalysis once = analyzer.analyzeScenario(
+        scenario.name, scenario.tFast, scenario.tSlow);
+    const ScenarioAnalysis twice = analyzer.analyzeScenario(
+        scenario.name, scenario.tFast, scenario.tSlow);
+    EXPECT_EQ(once.mining.patterns.size(), twice.mining.patterns.size());
+    EXPECT_EQ(once.awgSlow.nodes().size(), twice.awgSlow.nodes().size());
 
     const PipelineStats stats = analyzer.pipelineStats();
-    EXPECT_EQ(stats.of(Stage::Impact).misses, 1u);
-    EXPECT_GE(stats.of(Stage::Impact).hits, 1u);
+    EXPECT_EQ(stats.of(Stage::WaitGraphs).misses, 1u);
+    EXPECT_EQ(stats.of(Stage::WaitGraphs).diskHits, 0u);
 }
 
 TEST(Incremental, DiskCacheWarmStartsAFreshAnalyzer)
@@ -195,7 +208,6 @@ TEST(Incremental, DiskCacheWarmStartsAFreshAnalyzer)
         EXPECT_EQ(stats.of(Stage::WaitGraphs).misses, 1u);
         EXPECT_EQ(stats.of(Stage::WaitGraphs).diskHits, 0u);
         EXPECT_EQ(stats.of(Stage::WaitGraphs).diskWrites, 1u);
-        EXPECT_GT(stats.of(Stage::Awg).diskWrites, 0u);
     }
     ASSERT_FALSE(fs::is_empty(dir.path()));
 
@@ -210,8 +222,41 @@ TEST(Incremental, DiskCacheWarmStartsAFreshAnalyzer)
     const PipelineStats stats = warm.pipelineStats();
     EXPECT_EQ(stats.of(Stage::WaitGraphs).misses, 0u);
     EXPECT_EQ(stats.of(Stage::WaitGraphs).diskHits, 1u);
-    EXPECT_GT(stats.of(Stage::Awg).diskHits, 0u);
-    EXPECT_EQ(stats.of(Stage::Awg).misses, 0u);
+}
+
+TEST(Incremental, DiskCacheRestoresEveryShardsWaitGraphs)
+{
+    const ScratchDir dir("shards");
+    const std::string cache = (dir.path() / "cache").string();
+    const std::string corpusDir = (dir.path() / "corpus").string();
+    const std::vector<std::string> shards =
+        writeShardedCorpusDir(generateCorpus(smallSpec()), corpusDir, 4);
+    ASSERT_EQ(shards.size(), 4u);
+
+    AnalyzerConfig config;
+    config.threads = 2;
+    config.artifactCacheDir = cache;
+    auto run = [&](PipelineStats &stats) {
+        Expected<std::unique_ptr<TraceSource>> source =
+            openSource(corpusDir);
+        EXPECT_TRUE(source.ok());
+        Analyzer analyzer(*source.value(), config);
+        std::string report = reportOf(analyzer);
+        stats = analyzer.pipelineStats();
+        return report;
+    };
+
+    PipelineStats cold;
+    const std::string coldReport = run(cold);
+    EXPECT_EQ(cold.of(Stage::WaitGraphs).misses, shards.size());
+    EXPECT_EQ(cold.of(Stage::WaitGraphs).diskWrites, shards.size());
+
+    // A second analyzer over the same cache directory builds no wait
+    // graphs: every shard's bundle is a disk hit.
+    PipelineStats warm;
+    EXPECT_EQ(run(warm), coldReport);
+    EXPECT_EQ(warm.of(Stage::WaitGraphs).misses, 0u);
+    EXPECT_EQ(warm.of(Stage::WaitGraphs).diskHits, shards.size());
 }
 
 TEST(Incremental, CorruptCacheFilesAreRebuiltNotTrusted)
@@ -254,7 +299,6 @@ TEST(Incremental, CorruptCacheFilesAreRebuiltNotTrusted)
     const PipelineStats stats = rebuilt.pipelineStats();
     EXPECT_EQ(stats.of(Stage::WaitGraphs).diskHits, 0u);
     EXPECT_EQ(stats.of(Stage::WaitGraphs).misses, 1u);
-    EXPECT_EQ(stats.of(Stage::Awg).diskHits, 0u);
 }
 
 TEST(Incremental, CacheDirIsSharedAcrossDistinctConfigs)
@@ -326,7 +370,6 @@ TEST(Incremental, TornWritesAndTempLitterDegradeToCacheMiss)
         EXPECT_EQ(reportOf(rebuilt), cold_report);
         const PipelineStats stats = rebuilt.pipelineStats();
         EXPECT_EQ(stats.of(Stage::WaitGraphs).diskHits, 0u);
-        EXPECT_EQ(stats.of(Stage::Awg).diskHits, 0u);
     }
 
     // The rebuild repaired the artifacts: a third analyzer disk-hits.
@@ -354,7 +397,9 @@ TEST(Incremental, ConcurrentWritersShareOneCacheDirSafely)
     std::string cold_report;
     {
         EagerSource probe(corpus);
-        Analyzer cold(probe, AnalyzerConfig{.threads = 1});
+        AnalyzerConfig probe_config;
+        probe_config.threads = 1;
+        Analyzer cold(probe, probe_config);
         cold_report = reportOf(cold);
     }
 

@@ -26,7 +26,6 @@
 #include <gtest/gtest.h>
 
 #include "src/core/analyzer.h"
-#include "src/core/artifacts.h"
 #include "src/core/resultjson.h"
 #include "src/mining/knowledge.h"
 #include "src/server/client.h"
@@ -155,8 +154,9 @@ class ServerTest : public ::testing::Test
         // Leak check on every path out of every test: a request that
         // crashed, timed out, or vanished must still unpin its
         // session.
-        if (server_ != nullptr)
+        if (server_ != nullptr) {
             EXPECT_EQ(server_->registry().stats().activeHandles, 0u);
+        }
         server_.reset();
         scratch_.reset();
     }
@@ -301,7 +301,7 @@ TEST_F(ServerTest, WarmQueriesAreServedFromTheArtifactStore)
     Telemetry::setEnabled(true);
     Telemetry::reset();
 
-    // Cold: every pipeline stage builds (outcome "miss").
+    // Cold: the wait graphs build (outcome "miss").
     Expected<Response> cold = session.analyze(analyzeRequest(3));
     ASSERT_TRUE(cold.ok()) << cold.error().render();
     ASSERT_TRUE(cold.value().ok) << cold.value().error.message;
@@ -312,16 +312,19 @@ TEST_F(ServerTest, WarmQueriesAreServedFromTheArtifactStore)
         << coldTrace;
 
     // Warm, different params (top=5): a different response-cache key
-    // over the same corpus — the wait graphs and contrast classes the
-    // query re-enters are served from the store (no "miss"), while the
-    // AWG fold and mining re-run outside it, keeping no per-threshold
-    // artifacts resident.
+    // over the same corpus — the query re-enters the pipeline on the
+    // session's wait graphs (no graph is built, no "miss"), while
+    // classes, the AWG fold and mining re-run, keeping no
+    // per-threshold artifacts resident.
     Telemetry::reset();
     Expected<Response> warm = session.analyze(analyzeRequest(5));
     ASSERT_TRUE(warm.ok());
     ASSERT_TRUE(warm.value().ok);
     const std::string warmTrace = Telemetry::renderChromeTrace();
-    EXPECT_NE(warmTrace.find("stage."), std::string::npos);
+    EXPECT_NE(warmTrace.find("analyzer.scenario-partial"),
+              std::string::npos);
+    EXPECT_EQ(warmTrace.find("waitgraph.build-range"), std::string::npos)
+        << warmTrace;
     EXPECT_EQ(warmTrace.find("\"outcome\": \"miss\""),
               std::string::npos)
         << warmTrace;
@@ -530,19 +533,30 @@ TEST_F(ServerTest, SingleNodeAnswersMatchTheBatchAnalyzer)
 
 TEST_F(ServerTest, FreshThresholdQueriesLeaveNoAwgOrMiningArtifacts)
 {
-    // A session's artifact store folds its counters into the global
-    // registry when the session closes; read the deltas around one
-    // daemon's lifetime.
-    auto misses = [](Stage stage) {
-        return MetricsRegistry::global()
-            .counter("pipeline." + std::string(stageName(stage)) +
-                     ".misses")
-            .value();
+    // Every entry an artifact store holds was built (a miss) or
+    // restored (a disk hit) exactly once, and a session's store folds
+    // its counters into the global registry when drain closes it: the
+    // entries one daemon's lifetime created are those deltas.
+    struct Entries
+    {
+        std::uint64_t all = 0;
+        std::uint64_t waitGraphs = 0;
     };
-    const std::uint64_t awgBefore = misses(Stage::Awg);
-    const std::uint64_t miningBefore = misses(Stage::Mining);
-    const std::uint64_t classesBefore = misses(Stage::Classes);
-    const std::uint64_t graphsBefore = misses(Stage::WaitGraphs);
+    auto entries = [] {
+        Entries count;
+        for (const auto &[name, value] :
+             MetricsRegistry::global().snapshot().counters) {
+            if (!name.starts_with("pipeline.") ||
+                !(name.ends_with(".misses") ||
+                  name.ends_with(".disk_hits")))
+                continue;
+            count.all += value;
+            if (name.starts_with("pipeline.wait-graphs."))
+                count.waitGraphs += value;
+        }
+        return count;
+    };
+    const Entries before = entries();
 
     startServer();
     Session session = connect();
@@ -568,13 +582,11 @@ TEST_F(ServerTest, FreshThresholdQueriesLeaveNoAwgOrMiningArtifacts)
     server_->requestStop();
     server_->wait(); // drain closes the session, folding its counters
 
-    EXPECT_EQ(misses(Stage::Awg) - awgBefore, 0u);
-    EXPECT_EQ(misses(Stage::Mining) - miningBefore, 0u);
-    // The threshold-keyed classes memo still builds once per query,
-    // and the wait graphs once per session — the counters did fold.
-    EXPECT_EQ(misses(Stage::Classes) - classesBefore,
-              static_cast<std::uint64_t>(2 * kQueries));
-    EXPECT_GE(misses(Stage::WaitGraphs) - graphsBefore, 1u);
+    // The one-file corpus's one wait-graph bundle, and nothing per
+    // threshold pair: no classes, AWG or mining entries.
+    const Entries after = entries();
+    EXPECT_EQ(after.waitGraphs - before.waitGraphs, 1u);
+    EXPECT_EQ(after.all - before.all, after.waitGraphs - before.waitGraphs);
 }
 
 TEST_F(ServerTest, RequestSpanParentsOnTheCallerWhenTracingPrecedesStart)
@@ -988,7 +1000,10 @@ TEST(SessionRegistry, AbsorbedShardEmptiesTheResponseCache)
 
     // The new corpus digest orphans every cached key: drop them.
     spec.seed = 12;
-    session.value()->absorbShard(generateCorpus(spec));
+    const TraceCorpus pushed = generateCorpus(spec);
+    const std::string pushedPath = (scratch.path() / "pushed.tlc").string();
+    writeCorpusFile(pushed, pushedPath);
+    session.value()->absorbShard(pushed, pushedPath);
     EXPECT_EQ(session.value()->responses().entries(), 0u);
     EXPECT_EQ(registry.stats().cachedResponses, 0u);
 }
@@ -1017,6 +1032,45 @@ TEST(SessionRegistry, RewrittenFileReopensItsSession)
     Expected<SessionRegistry::Handle> reopened = registry.acquire(path);
     ASSERT_TRUE(reopened.ok());
     EXPECT_FALSE(reopened.value()->corpusDigest() == before);
+    EXPECT_EQ(registry.stats().opened, 2u);
+}
+
+TEST(SessionRegistry, AbsorbedShardKeepsItsDirectorySession)
+{
+    ScratchDir scratch("spool");
+    CorpusSpec spec;
+    spec.machines = 4;
+    spec.seed = 11;
+    const std::string dir = (scratch.path() / "spool").string();
+    writeShardedCorpusDir(generateCorpus(spec), dir, 2);
+
+    SessionRegistry registry;
+    Expected<SessionRegistry::Handle> session = registry.acquire(dir);
+    ASSERT_TRUE(session.ok()) << session.error().render();
+
+    // A pushed shard lands in the directory and is absorbed: the
+    // session's stamp follows, so the next acquire reuses it.
+    spec.seed = 12;
+    const TraceCorpus pushed = generateCorpus(spec);
+    const std::string pushedPath =
+        (fs::path(dir) / "shard-9000.tlc").string();
+    writeCorpusFile(pushed, pushedPath);
+    session.value()->absorbShard(pushed, pushedPath);
+    const Digest absorbed = session.value()->corpusDigest();
+    session = SessionRegistry::Handle();
+    Expected<SessionRegistry::Handle> reused = registry.acquire(dir);
+    ASSERT_TRUE(reused.ok());
+    EXPECT_TRUE(reused.value()->corpusDigest() == absorbed);
+    EXPECT_EQ(registry.stats().opened, 1u);
+    reused = SessionRegistry::Handle();
+
+    // A shard that arrives any other way is a change on disk.
+    spec.seed = 13;
+    writeCorpusFile(generateCorpus(spec),
+                    (fs::path(dir) / "shard-9001.tlc").string());
+    Expected<SessionRegistry::Handle> reopened = registry.acquire(dir);
+    ASSERT_TRUE(reopened.ok());
+    EXPECT_FALSE(reopened.value()->corpusDigest() == absorbed);
     EXPECT_EQ(registry.stats().opened, 2u);
 }
 
